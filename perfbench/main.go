@@ -108,7 +108,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	if *workload == "all" {
-		return runAll(args, stdout, stderr)
+		return runAll(cfg, *trace, stdout, stderr)
 	}
 	w, ok := workloadNamed(*workload)
 	if !ok {
@@ -239,7 +239,7 @@ func references(in *inputSet, checks *recorder, seed int64) error {
 
 // runAll runs every workload in a process of its own, so each reports
 // its own peak memory, and prints one row per workload.
-func runAll(args []string, stdout, stderr io.Writer) int {
+func runAll(cfg *config, trace int, stdout, stderr io.Writer) int {
 	self, err := os.Executable()
 	if err != nil {
 		fmt.Fprintf(stderr, "perfbench: %v\n", err)
@@ -249,7 +249,8 @@ func runAll(args []string, stdout, stderr io.Writer) int {
 	code := 0
 	for _, w := range workloads {
 		var out bytes.Buffer
-		cmd := exec.Command(self, append(withoutWorkload(args), "--workload", w.name)...)
+		cmd := exec.Command(self, "--workload", w.name, "--seed", fmt.Sprint(cfg.seed),
+			"--seconds", fmt.Sprint(cfg.seconds.Seconds()), "--trace", fmt.Sprint(trace), "--workdir", cfg.workDir)
 		cmd.Stdout, cmd.Stderr = &out, stderr
 		if err := cmd.Run(); err != nil {
 			fmt.Fprintf(stderr, "perfbench: %s: %v\n", w.name, err)
@@ -276,25 +277,14 @@ func runAll(args []string, stdout, stderr io.Writer) int {
 			total.Metrics[w.name+"."+name] = m
 		}
 	}
-	line, _ := json.Marshal(total)
+	line, err := json.Marshal(total)
+	if err != nil {
+		fmt.Fprintf(stderr, "perfbench: %v\n", err)
+		return 1
+	}
 	fmt.Fprintln(stdout, string(line))
 	if !total.Correct {
 		code = 1
 	}
 	return code
-}
-
-func withoutWorkload(args []string) []string {
-	var out []string
-	for i := 0; i < len(args); i++ {
-		a := args[i]
-		switch {
-		case a == "--workload" || a == "-workload":
-			i++
-		case strings.HasPrefix(a, "--workload=") || strings.HasPrefix(a, "-workload="):
-		default:
-			out = append(out, a)
-		}
-	}
-	return out
 }
