@@ -65,7 +65,7 @@ func startDaemon(workDir string) (*daemon, error) {
 		hs:         &http.Server{Handler: srv.Handler()},
 		served:     make(chan error, 1),
 		base:       "http://" + ln.Addr().String(),
-		client:     &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: daemonClients}},
+		client:     &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 1}},
 	}
 	go func() { d.served <- d.hs.Serve(ln) }()
 	return d, nil

@@ -25,7 +25,7 @@ import (
 	"io"
 	"os"
 	"os/exec"
-	"runtime"
+	"runtime/debug"
 	"strings"
 	"time"
 )
@@ -36,13 +36,14 @@ type config struct {
 	workDir string
 
 	// Fixed for the benchmark; the benchmark's own tests shrink them.
-	largeClasses int // classes in the large-program input
-	setupReps    int // set-ups per run; setup_s is their median
-	minRounds    int // fewest rounds of a traced run
+	largeClasses int           // classes in the large-program input
+	setupReps    int           // fewest set-ups per run; setup_s is their median
+	setupTime    time.Duration // set-ups repeat until this much time has passed
+	minRounds    int           // fewest rounds of a traced run
 }
 
 func defaultConfig() *config {
-	return &config{largeClasses: 3200, setupReps: 11, minRounds: 3}
+	return &config{largeClasses: 3200, setupReps: 11, setupTime: time.Second, minRounds: 3}
 }
 
 // warmup is how long a workload runs untimed before measuring, so the
@@ -156,21 +157,26 @@ func formatRow(workload string, seed int64, rows []rowValue) string {
 }
 
 // measured is the untraced run: set-up (repeated, median reported),
-// reference outputs, warm-up, then the measured operations.
+// reference outputs, warm-up, then the measured passes. Set-ups and
+// passes are timed in process CPU time, which a busy host does not
+// inflate; the row adds their wall-clock figures.
 func measured(cfg *config, w workload) (*result, []rowValue, []string, error) {
-	var setups []float64
+	var setups, setupsWall []float64
 	var r runner
-	for i := 0; i < cfg.setupReps; i++ {
+	for begin := time.Now(); len(setups) < cfg.setupReps || time.Since(begin) < cfg.setupTime; {
 		if r != nil {
 			if err := r.close(); err != nil {
 				return nil, nil, nil, err
 			}
+			r = nil
 		}
-		runtime.GC()
-		start := time.Now()
+		// Like each pass, each set-up starts from a collected heap whose
+		// free memory has gone back to the OS.
+		debug.FreeOSMemory()
 		var err error
-		r, err = w.setup(cfg)
-		setups = append(setups, time.Since(start).Seconds())
+		wall, cpu := timed(func() { r, err = w.setup(cfg) })
+		setups = append(setups, cpu.Seconds())
+		setupsWall = append(setupsWall, wall.Seconds())
 		if err != nil {
 			return nil, nil, nil, err
 		}
@@ -189,24 +195,27 @@ func measured(cfg *config, w workload) (*result, []rowValue, []string, error) {
 	if err := r.close(); err != nil {
 		return nil, nil, nil, err
 	}
-	rss, err := peakRSSMB()
-	if err != nil {
-		return nil, nil, nil, err
+	if rec.rssErr != nil {
+		return nil, nil, nil, rec.rssErr
 	}
+	peak := median(rec.rss)
 
-	lat := rec.latenciesMS()
+	cpu := toMS(rec.cpu)
 	res := &result{Metrics: map[string]metric{
-		"setup_s":     {median(setups), "s"},
-		"peak_rss_mb": {rss, "MB"},
-		"ops_per_s":   {float64(len(lat)) / elapsed.Seconds(), "1/s"},
-		"p50_ms":      {quantile(lat, 0.5), "ms"},
-		"p90_ms":      {quantile(lat, 0.9), "ms"},
+		"setup_s":          {median(setups), "s"},
+		"peak_rss_mb":      {peak, "MB"},
+		"passes_per_cpu_s": {float64(len(cpu)) / sum(rec.cpu).Seconds(), "1/s"},
+		"pass_cpu_p50_ms":  {quantile(cpu, 0.5), "ms"},
+		"pass_cpu_p90_ms":  {quantile(cpu, 0.9), "ms"},
 	}}
 	failures := res.tally(checks, warm, rec)
 	rows := append([]rowValue{
 		{"setup_s", median(setups), "s"},
-		{"peak_rss_mb", rss, "MB"},
-		{"ops", float64(len(lat)), "count"},
+		{"setup_wall_s", median(setupsWall), "s"},
+		{"peak_rss_mb", peak, "MB"},
+		{"passes", float64(len(cpu)), "count"},
+		{"pass_wall_p50_ms", median(toMS(rec.wall)), "ms"},
+		{"pass_cpu_p50_ms", quantile(cpu, 0.5), "ms"},
 	}, r.row(rec, elapsed)...)
 	return res, rows, failures, nil
 }

@@ -5,46 +5,58 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"runtime/debug"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
+	"syscall"
 	"time"
 )
 
-// recorder collects the operations of one measured phase. The daemon's
-// clients share one, so every method locks.
+// recorder collects the operations of one measured phase. An operation
+// is one pass over the workload's inputs; the units within it (a
+// program's verdict, a daemon request) are timed as parts.
 type recorder struct {
-	mu        sync.Mutex
-	lat       []time.Duration
-	parts     []time.Duration // latencies of the requests within daemon cycles
+	wall      []time.Duration // per pass, wall clock
+	cpu       []time.Duration // per pass, CPU time of the whole process
+	rss       []float64       // per pass, peak resident memory in MiB
+	rssErr    error           // the first failure to read resident memory
+	parts     []time.Duration // per unit within a pass, wall clock
 	attempted int64
 	failed    int64
-	bytes     int64 // source bytes of the completed static operations
+	bytes     int64 // source bytes of the completed static passes
 	steps     [2]int64
 	execTime  [2]time.Duration // per engine: tree, vm
 	failures  []string
 }
 
-// op records one timed operation: its latency, the source bytes it
-// processed, and the error its output check returned, if any.
-func (r *recorder) op(lat time.Duration, bytes int64, err error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.lat = append(r.lat, lat)
-	r.bytes += bytes
-	r.countLocked(err)
+// passes calls pass once, then again until d has elapsed, and records
+// each call's wall-clock and CPU time, its peak resident memory, and the
+// source bytes it processed. Every pass starts from a collected heap
+// whose free memory has gone back to the OS, as a fresh deadmem or
+// deadlint process does, so neither the collections within a pass nor
+// its memory depend on where the previous pass left the heap.
+func (r *recorder) passes(d time.Duration, bytes int64, pass func()) {
+	rss := sampleRSS()
+	start := time.Now()
+	for n := 0; n == 0 || time.Since(start) < d; n++ {
+		debug.FreeOSMemory()
+		rss.window()
+		wall, cpu := timed(pass)
+		r.wall = append(r.wall, wall)
+		r.cpu = append(r.cpu, cpu)
+		r.rss = append(r.rss, rss.window())
+		r.bytes += bytes
+	}
+	if err := rss.stop(); err != nil && r.rssErr == nil {
+		r.rssErr = err
+	}
 }
 
-// check records an output check made outside any timed operation, such
-// as the corpus-wide finding count.
+// check records the outcome of one output check: a unit of a pass, or a
+// check made outside any pass, such as the corpus-wide finding count.
 func (r *recorder) check(err error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.countLocked(err)
-}
-
-func (r *recorder) countLocked(err error) {
 	r.attempted++
 	if err != nil {
 		r.failed++
@@ -54,22 +66,43 @@ func (r *recorder) countLocked(err error) {
 	}
 }
 
-// part records the latency of one request within an operation.
+// part records the wall-clock latency of one unit within a pass.
 func (r *recorder) part(lat time.Duration) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.parts = append(r.parts, lat)
 }
 
 // exec adds one execution's steps and time to an engine's totals.
 func (r *recorder) exec(engine int, steps int64, d time.Duration) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.steps[engine] += steps
 	r.execTime[engine] += d
 }
 
-func (r *recorder) latenciesMS() []float64 { return toMS(r.lat) }
+// cpuTime returns the CPU time the process has used so far, on all its
+// threads. Unlike wall-clock time it leaves out the time the host gives
+// to other guests (the kernel accounts that as steal) and the time the
+// process waits for a core, so a pass's CPU time is its own cost.
+func cpuTime() time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		panic(fmt.Sprintf("getrusage: %v", err))
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
+}
+
+// timed runs fn and returns its wall-clock and CPU time.
+func timed(fn func()) (wall, cpu time.Duration) {
+	w0, c0 := time.Now(), cpuTime()
+	fn()
+	return time.Since(w0), cpuTime() - c0
+}
+
+func sum(ds []time.Duration) time.Duration {
+	var t time.Duration
+	for _, d := range ds {
+		t += d
+	}
+	return t
+}
 
 func toMS(ds []time.Duration) []float64 {
 	out := make([]float64, len(ds))
@@ -119,29 +152,86 @@ func slope(xs, ys []float64) float64 {
 	return (n*sxy - sx*sy) / den
 }
 
-// peakRSSMB reads the process's peak resident set size (VmHWM) from
-// /proc, in MiB.
-func peakRSSMB() (float64, error) {
+// rssSampler samples the process's resident set size (VmRSS) every 10
+// ms from a goroutine of its own and keeps the highest sample of the
+// current window.
+type rssSampler struct {
+	mu     sync.Mutex
+	peak   float64
+	err    error
+	done   chan struct{}
+	exited chan struct{}
+}
+
+func sampleRSS() *rssSampler {
+	s := &rssSampler{done: make(chan struct{}), exited: make(chan struct{})}
+	go func() {
+		defer close(s.exited)
+		tick := time.NewTicker(10 * time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-s.done:
+				return
+			case <-tick.C:
+				s.sample()
+			}
+		}
+	}()
+	return s
+}
+
+func (s *rssSampler) sample() {
+	mb, err := residentMB()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err != nil {
+		if s.err == nil {
+			s.err = err
+		}
+		return
+	}
+	s.peak = max(s.peak, mb)
+}
+
+// window takes one more sample, ends the current window, returning its
+// highest sample, and starts the next.
+func (s *rssSampler) window() float64 {
+	s.sample()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	peak := s.peak
+	s.peak = 0
+	return peak
+}
+
+// stop ends the sampling goroutine, waits for it, and returns the first
+// failure to read resident memory.
+func (s *rssSampler) stop() error {
+	close(s.done)
+	<-s.exited
+	return s.err
+}
+
+// residentMB reads the process's resident set size (VmRSS) from /proc,
+// in MiB.
+func residentMB() (float64, error) {
 	f, err := os.Open("/proc/self/status")
 	if err != nil {
-		return 0, fmt.Errorf("peak RSS: %w", err)
+		return 0, fmt.Errorf("resident memory: %w", err)
 	}
 	defer f.Close()
 	sc := bufio.NewScanner(f)
 	for sc.Scan() {
-		line := sc.Text()
-		if !strings.HasPrefix(line, "VmHWM:") {
+		fields := strings.Fields(sc.Text())
+		if len(fields) < 2 || fields[0] != "VmRSS:" {
 			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) < 2 {
-			break
 		}
 		kb, err := strconv.ParseFloat(fields[1], 64)
 		if err != nil {
-			return 0, fmt.Errorf("peak RSS: %w", err)
+			return 0, fmt.Errorf("resident memory: %w", err)
 		}
 		return kb / 1024, nil
 	}
-	return 0, fmt.Errorf("peak RSS: no VmHWM line in /proc/self/status")
+	return 0, fmt.Errorf("resident memory: no VmRSS line in /proc/self/status")
 }

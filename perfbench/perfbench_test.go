@@ -59,6 +59,7 @@ func selfCheckConfig(t *testing.T) *config {
 	cfg.workDir = t.TempDir()
 	cfg.largeClasses = 400
 	cfg.setupReps = 1
+	cfg.setupTime = 0
 	cfg.minRounds = 1
 	return cfg
 }

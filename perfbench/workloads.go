@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"deadmembers/internal/dynprof"
@@ -46,7 +45,7 @@ func workloadNamed(name string) (workload, bool) {
 type runner interface {
 	inputs() *inputSet
 	// run performs at least one pass over the inputs, then further
-	// passes until d has elapsed.
+	// passes until d has elapsed, recording each in rec.
 	run(rec *recorder, d time.Duration)
 	// row reports the workload's own end-to-end metrics, by the names
 	// the benchmark's documentation uses for this workload.
@@ -135,22 +134,21 @@ func (in *inputSet) checkVerdict(i int, out *verdictOutputs) error {
 }
 
 func (s *staticRunner) run(rec *recorder, d time.Duration) {
-	start := time.Now()
-	for pass := 0; pass == 0 || time.Since(start) < d; pass++ {
+	rec.passes(d, sourceBytes(s.progs), func() {
 		for i, p := range s.progs {
 			t0 := time.Now()
 			out, err := verdict(p, 0)
-			lat := time.Since(t0)
+			rec.part(time.Since(t0))
 			if err == nil {
 				err = s.checkVerdict(i, out)
 			}
-			rec.op(lat, int64(len(p.src.Text)), err)
+			rec.check(err)
 		}
-	}
+	})
 }
 
 func (s *staticRunner) row(rec *recorder, elapsed time.Duration) []rowValue {
-	lat := rec.latenciesMS()
+	lat := toMS(rec.parts)
 	if s.large {
 		return []rowValue{{"large_verdict_s", median(lat) / 1000, "s"}}
 	}
@@ -195,8 +193,7 @@ func setupTable2(cfg *config) (runner, error) {
 // must match the tree-walker's exactly.
 func (t *table2Runner) run(rec *recorder, d time.Duration) {
 	ctx := context.Background()
-	start := time.Now()
-	for pass := 0; pass == 0 || time.Since(start) < d; pass++ {
+	rec.passes(d, 0, func() {
 		for i, c := range t.comps {
 			var tree execSummary
 			for e, eng := range engines {
@@ -209,10 +206,10 @@ func (t *table2Runner) run(rec *recorder, d time.Duration) {
 					err = t.checkProfile(i, e, got, tree)
 					tree = got
 				}
-				rec.op(lat, 0, err)
+				rec.check(err)
 			}
 		}
-	}
+	})
 }
 
 func (t *table2Runner) checkProfile(i, e int, got, tree execSummary) error {
@@ -245,16 +242,10 @@ func (t *table2Runner) close() error { return nil }
 // ---------------------------------------------------------------------
 // daemon: closed-loop clients against an in-process deadmemd.
 
-// daemonClients is the number of closed-loop clients, one per core of
-// the machine the workload was sized on.
-const daemonClients = 2
-
 type daemonRunner struct {
 	inputSet
-	d    *daemon
-	seed int64
-
-	mu     sync.Mutex
+	d      *daemon
+	seed   int64
 	nonces uint64
 }
 
@@ -270,42 +261,28 @@ func setupDaemon(cfg *config) (runner, error) {
 // variant returns a fresh source variant of p: a trailing comment with a
 // seeded nonce gives it a fingerprint no earlier request used.
 func (r *daemonRunner) variant(p program) string {
-	r.mu.Lock()
 	r.nonces++
-	n := r.nonces
-	r.mu.Unlock()
-	return fmt.Sprintf("%s\n// nonce %016x\n", p.src.Text, reseed(n, r.seed))
+	return fmt.Sprintf("%s\n// nonce %016x\n", p.src.Text, reseed(r.nonces, r.seed))
 }
 
-// run starts the clients; client k takes programs k, k+clients, ... in
-// turn, and each finishes the cycle it is in when the time is up. An
-// operation is one cycle: the four requests for one fresh variant.
+// run is one closed-loop client: each pass sends, for every program in
+// turn, the four requests of a cycle for one fresh variant. A cycle is
+// checked as a unit; each request is timed as a part.
 func (r *daemonRunner) run(rec *recorder, d time.Duration) {
-	deadline := time.Now().Add(d)
-	perClient := (len(r.progs) + daemonClients - 1) / daemonClients
-	var wg sync.WaitGroup
-	for k := 0; k < daemonClients; k++ {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			for n := 0; n < perClient || time.Now().Before(deadline); n++ {
-				i := (k + n*daemonClients) % len(r.progs)
-				text := r.variant(r.progs[i])
-				var cycle time.Duration
-				var cycleErr error
-				for _, req := range daemonCycle {
-					lat, err := r.d.request(req, r.progs[i], text, r.refs[i])
-					rec.part(lat)
-					cycle += lat
-					if cycleErr == nil {
-						cycleErr = err
-					}
+	rec.passes(d, 0, func() {
+		for i, p := range r.progs {
+			text := r.variant(p)
+			var cycleErr error
+			for _, req := range daemonCycle {
+				lat, err := r.d.request(req, p, text, r.refs[i])
+				rec.part(lat)
+				if cycleErr == nil {
+					cycleErr = err
 				}
-				rec.op(cycle, 0, cycleErr)
 			}
-		}(k)
-	}
-	wg.Wait()
+			rec.check(cycleErr)
+		}
+	})
 }
 
 func (r *daemonRunner) row(rec *recorder, elapsed time.Duration) []rowValue {
