@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build vet fmt-check lint test race race-server bench bench-vm fuzz serve smoke-server smoke-restart smoke-fleet smoke-precision smoke-vm chaos-smoke check ci
+.PHONY: build vet fmt-check lint test race race-server bench bench-vm fuzz serve smoke-server smoke-restart smoke-precision smoke-vm chaos-smoke perfbench-check check ci
 
 build:
 	$(GO) build ./...
@@ -52,12 +52,6 @@ smoke-server:
 smoke-restart:
 	sh scripts/smoke_restart.sh
 
-# Fleet smoke: three workers behind a coordinator, /v1/batch over the
-# example corpus, one worker SIGKILLed mid-batch; no unit lost, every
-# body byte-identical to the CLIs, ejection observed in the metrics.
-smoke-fleet:
-	sh scripts/smoke_fleet.sh
-
 # Precision smoke: paperbench -precision -timings (the frontier sweeps
 # all three liveness tiers in one session), then deadlint at each tier
 # over the chained example asserting paper <= flow <= heap monotonicity.
@@ -70,13 +64,18 @@ smoke-precision:
 smoke-vm:
 	sh scripts/smoke_vm.sh
 
-# Chaos soaks under the race detector: faulty disk + faulty network,
-# abrupt in-test kill and restart, byte-identity and zero-lost-work
-# asserted throughout (see internal/server/chaos_soak_test.go and
-# internal/fleet/soak_test.go).
+# Chaos soak under the race detector: the test wraps the server in its
+# own fault injector (faulty disk + faulty network), kills and restarts
+# it mid-soak, and asserts byte-identity throughout (see
+# internal/server/chaos_soak_test.go).
 chaos-smoke:
 	$(GO) test -race -run TestChaosSoak -v ./internal/server/
-	$(GO) test -race -run TestFleetChaosSoak -v ./internal/fleet/
+
+# The benchmark is a module of its own (perfbench/go.mod), so the root
+# build and tests never compile it; this keeps it building against the
+# internal packages it imports.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 bench:
 	$(GO) test -bench=. -benchmem
@@ -102,7 +101,7 @@ fuzz:
 
 # The quick local gate: build + static checks + tests + the engine
 # smoke. Slower CI-only passes (race soaks, server smokes) stay out.
-check: build vet fmt-check test smoke-vm
+check: build vet fmt-check test perfbench-check smoke-vm
 
 # What CI runs (see .github/workflows/ci.yml).
-ci: build vet race race-server lint smoke-server smoke-restart smoke-fleet smoke-precision smoke-vm chaos-smoke
+ci: build vet race race-server lint smoke-server smoke-restart smoke-precision smoke-vm chaos-smoke perfbench-check

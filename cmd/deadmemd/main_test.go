@@ -47,6 +47,21 @@ func TestUsageErrors(t *testing.T) {
 	if code := run([]string{"stray-arg"}, &out, &errOut); code != 2 {
 		t.Errorf("positional arg: exit %d, want 2", code)
 	}
+	// deadmemd is one daemon: the fleet coordinator and the chaos
+	// layer are not part of the binary, so their flags are unknown. The
+	// unlistenable address makes a binary that still accepted them fail
+	// with 1 instead of serving.
+	for _, removed := range [][]string{
+		{"-coordinator"},
+		{"-workers=http://x"},
+		{"-coordinator", "-workers=http://x"},
+		{"-chaos-rate=0.1"},
+	} {
+		args := append(removed, "-addr", "256.256.256.256:99999")
+		if code := run(args, &out, &errOut); code != 2 {
+			t.Errorf("%v: exit %d, want 2", removed, code)
+		}
+	}
 	if code := run([]string{"-addr", "256.256.256.256:99999"}, &out, &errOut); code != 1 {
 		t.Errorf("unlistenable addr: exit %d, want 1", code)
 	}

@@ -47,52 +47,3 @@ type Options struct {
 // DegradedHeader is set to "true" on responses rendered from a run in
 // which a pipeline stage panicked and was contained.
 const DegradedHeader = "X-Deadmemd-Degraded"
-
-// BatchRequest is the POST body for the coordinator's /v1/batch: a
-// whole corpus of independent analysis units scatter-gathered across
-// the fleet.
-type BatchRequest struct {
-	Units []BatchUnit `json:"units"`
-}
-
-// BatchUnit is one unit of a batch: which endpoint to run and its
-// request. IDs name units in the result stream; empty IDs default to
-// the unit's index ("unit-3").
-type BatchUnit struct {
-	ID       string  `json:"id,omitempty"`
-	Endpoint string  `json:"endpoint"` // "analyze" | "lint" | "strip"
-	Request  Request `json:"request"`
-}
-
-// BatchEvent is one NDJSON line of the /v1/batch response stream:
-// per-unit results in completion order, then exactly one summary.
-type BatchEvent struct {
-	Unit    *BatchUnitResult `json:"unit,omitempty"`
-	Summary *BatchSummary    `json:"summary,omitempty"`
-}
-
-// BatchUnitResult is the outcome of one unit. A batch never fails as a
-// whole: units that could not be served anywhere in the fleet carry an
-// explicit failure record (OK=false) while the rest of the corpus
-// completes normally.
-type BatchUnitResult struct {
-	ID string `json:"id"`
-	OK bool   `json:"ok"`
-	// Body is present when OK: byte-identical to the corresponding
-	// CLI's stdout for the unit's sources and options.
-	Body        string `json:"body,omitempty"`
-	ContentType string `json:"content_type,omitempty"`
-	Degraded    bool   `json:"degraded,omitempty"`
-	// Status and Error describe a failure: Status is the HTTP status
-	// the unit would have received as a single request (429/503 for an
-	// exhausted fleet, 4xx for a rejected request).
-	Status int    `json:"status,omitempty"`
-	Error  string `json:"error,omitempty"`
-}
-
-// BatchSummary is the final line of a batch stream.
-type BatchSummary struct {
-	Units  int `json:"units"`
-	OK     int `json:"ok"`
-	Failed int `json:"failed"`
-}

@@ -21,7 +21,6 @@ import (
 	"math"
 	"math/rand"
 	"net/http"
-	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -88,51 +87,28 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Client calls deadmemd. Safe for concurrent use. Circuit breakers are
-// per host, not per client: one Client can fan out across a fleet of
-// servers (see Do), and a dead worker must not open the breaker for its
-// healthy peers.
+// Client calls deadmemd. Safe for concurrent use.
 type Client struct {
 	cfg Config
 	clk clock
-
-	mu  sync.Mutex
-	brs map[string]*breaker // host → breaker
+	br  *breaker // guards cfg.BaseURL
 }
 
 // New returns a Client for the server at cfg.BaseURL.
 func New(cfg Config) *Client {
 	cfg = cfg.withDefaults()
-	return &Client{
-		cfg: cfg,
-		clk: realClock{},
-		brs: map[string]*breaker{},
-	}
-}
-
-// breakerFor returns the circuit breaker guarding baseURL's host,
-// creating it on first use.
-func (c *Client) breakerFor(baseURL string) *breaker {
-	key := baseURL
-	if u, err := url.Parse(baseURL); err == nil && u.Host != "" {
-		key = u.Host
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	br := c.brs[key]
-	if br == nil {
-		br = newBreaker(c.cfg.BreakerThreshold, c.cfg.BreakerCooldown, c.clk.Now)
-		c.brs[key] = br
-	}
-	return br
+	c := &Client{cfg: cfg, clk: realClock{}}
+	// The breaker reads time through the client so that a clock swapped
+	// in after New (tests do) drives both the retry loop and the breaker.
+	c.br = newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, func() time.Time { return c.clk.Now() })
+	return c
 }
 
 // Result is a successful response.
 type Result struct {
 	// Body is byte-identical to the corresponding CLI's stdout.
 	Body []byte
-	// ContentType is the response Content-Type (forwarded verbatim by
-	// proxies such as the fleet coordinator).
+	// ContentType is the response Content-Type.
 	ContentType string
 	// Degraded reports the server's degraded marker: a pipeline stage
 	// panicked and was contained, so the result may be incomplete.
@@ -153,8 +129,8 @@ func (e *APIError) Error() string {
 // TransientError is a retryable server-side rejection — 429 load
 // shedding or a 5xx — carrying the server's Retry-After hint. When the
 // retry loop gives up, the final error wraps the last TransientError so
-// proxies (the fleet coordinator) can propagate the origin's status and
-// Retry-After instead of recomputing their own.
+// callers can recover the server's last status and Retry-After with
+// errors.As.
 type TransientError struct {
 	Status     int
 	RetryAfter time.Duration
@@ -174,60 +150,51 @@ var ErrCircuitOpen = errors.New("circuit breaker open: server failing, not attem
 
 // Analyze calls POST /v1/analyze (deadmem's report).
 func (c *Client) Analyze(ctx context.Context, req *api.Request) (*Result, error) {
-	return c.do(ctx, c.cfg.BaseURL, "/v1/analyze", req)
+	return c.do(ctx, "/v1/analyze", req)
 }
 
 // Lint calls POST /v1/lint (deadlint's findings).
 func (c *Client) Lint(ctx context.Context, req *api.Request) (*Result, error) {
-	return c.do(ctx, c.cfg.BaseURL, "/v1/lint", req)
+	return c.do(ctx, "/v1/lint", req)
 }
 
 // Strip calls POST /v1/strip (deadstrip's transformed sources).
 func (c *Client) Strip(ctx context.Context, req *api.Request) (*Result, error) {
-	return c.do(ctx, c.cfg.BaseURL, "/v1/strip", req)
-}
-
-// Do issues one logical call against an explicit base URL instead of
-// the configured one, still with retries, backoff, and that host's own
-// circuit breaker. The fleet coordinator uses this for the
-// coordinator→worker leg: one Client, one breaker per worker.
-func (c *Client) Do(ctx context.Context, baseURL, path string, req *api.Request) (*Result, error) {
-	return c.do(ctx, baseURL, path, req)
+	return c.do(ctx, "/v1/strip", req)
 }
 
 // do runs the retry loop for one logical call.
-func (c *Client) do(ctx context.Context, baseURL, path string, req *api.Request) (*Result, error) {
+func (c *Client) do(ctx context.Context, path string, req *api.Request) (*Result, error) {
 	payload, err := json.Marshal(req)
 	if err != nil {
 		return nil, fmt.Errorf("client: encode request: %w", err)
 	}
-	br := c.breakerFor(baseURL)
 	var lastErr error
 	for attempt := 0; attempt < c.cfg.MaxAttempts; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if err := br.allow(); err != nil {
+		if err := c.br.allow(); err != nil {
 			if lastErr != nil {
 				return nil, fmt.Errorf("%w (last failure: %v)", err, lastErr)
 			}
 			return nil, err
 		}
-		out := c.attempt(ctx, baseURL, path, payload)
+		out := c.attempt(ctx, path, payload)
 		switch {
 		case out.err == nil:
-			br.success()
+			c.br.success()
 			return out.res, nil
 		case !out.retryable:
 			// The server answered deliberately: it is healthy even
 			// though this request is not.
-			br.success()
+			c.br.success()
 			return nil, out.err
 		default:
 			if out.breakerFail {
-				br.failure()
+				c.br.failure()
 			} else {
-				br.success() // 429: alive, just shedding load
+				c.br.success() // 429: alive, just shedding load
 			}
 			lastErr = out.err
 		}
@@ -270,9 +237,9 @@ type attemptOutcome struct {
 	retryAfter  time.Duration // server-requested minimum delay (429/503)
 }
 
-func (c *Client) attempt(ctx context.Context, baseURL, path string, payload []byte) attemptOutcome {
+func (c *Client) attempt(ctx context.Context, path string, payload []byte) attemptOutcome {
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		strings.TrimRight(baseURL, "/")+path, bytes.NewReader(payload))
+		strings.TrimRight(c.cfg.BaseURL, "/")+path, bytes.NewReader(payload))
 	if err != nil {
 		return attemptOutcome{err: fmt.Errorf("client: build request: %w", err)}
 	}

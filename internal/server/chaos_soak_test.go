@@ -16,13 +16,15 @@ import (
 	"deadmembers/internal/client"
 	"deadmembers/internal/deadmember"
 	"deadmembers/internal/engine"
+	"deadmembers/internal/faultinject"
 	"deadmembers/internal/lint"
+	"deadmembers/internal/persist"
 	"deadmembers/internal/textreport"
 )
 
-// TestChaosSoak is the crash-safety acceptance test: a chaos-enabled
-// server (faulty disk under the artifact store, latency/503/drop on the
-// wire) is hammered through the retrying client, killed abruptly
+// TestChaosSoak is the crash-safety acceptance test: a server behind a
+// seeded fault injector (faulty disk under the artifact store,
+// latency/503/drop on the /v1 endpoints) is hammered through the retrying client, killed abruptly
 // mid-soak — with one on-disk record deliberately corrupted while it is
 // down — and restarted on the same address over the same persist
 // directory. The invariants:
@@ -73,30 +75,34 @@ int main() { C%d c; return c.used; }
 	}
 
 	cfg := Config{
-		Workers:      1,
-		PersistDir:   dir,
-		ChaosRate:    0.08,
-		ChaosLatency: time.Millisecond,
-		MaxInflight:  4,
-		MaxQueue:     64,
+		Workers:     1,
+		PersistDir:  dir,
+		MaxInflight: 4,
+		MaxQueue:    64,
 	}
-	boot := func(addr string, seed int64) (*Server, *http.Server, net.Listener) {
+	// boot starts a server whose persist store sits on a faulty disk and
+	// whose /v1 endpoints sit behind a faulty network, both driven by one
+	// injector. Health probes and metrics stay unwrapped: they must tell
+	// the truth even while the network is being wrecked.
+	boot := func(addr string, seed int64) (*Server, *faultinject.Injector, *http.Server, net.Listener) {
 		t.Helper()
-		c := cfg
-		c.ChaosSeed = seed
-		s, err := New(c)
+		inj := faultinject.New(seed, 0.08)
+		s, err := newServer(cfg, faultinject.FS(persist.OSFS{}, inj))
 		if err != nil {
 			t.Fatal(err)
 		}
+		mux := http.NewServeMux()
+		mux.Handle("/", s.Handler())
+		mux.Handle("/v1/", faultinject.Handler(inj, time.Millisecond, s.Handler()))
 		ln, err := net.Listen("tcp", addr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		hs := &http.Server{Handler: s.Handler()}
+		hs := &http.Server{Handler: mux}
 		go hs.Serve(ln)
-		return s, hs, ln
+		return s, inj, hs, ln
 	}
-	s1, hs1, ln := boot("127.0.0.1:0", 42)
+	s1, inj1, hs1, ln := boot("127.0.0.1:0", 42)
 	addr := ln.Addr().String()
 
 	cl := client.New(client.Config{
@@ -181,7 +187,7 @@ int main() { C%d c; return c.used; }
 		t.Fatal(err)
 	}
 
-	s2, hs2, _ := boot(addr, 43)
+	s2, inj2, hs2, _ := boot(addr, 43)
 	defer hs2.Close()
 	<-phase2
 
@@ -203,7 +209,7 @@ int main() { C%d c; return c.used; }
 	if st2.Corrupt == 0 {
 		t.Errorf("restarted server stats = %+v: the planted corruption was never detected", st2)
 	}
-	chaosTotal := s1.chaos.Total() + s2.chaos.Total()
+	chaosTotal := inj1.Total() + inj2.Total()
 	if chaosTotal == 0 {
 		t.Error("no faults injected; the soak exercised nothing")
 	}

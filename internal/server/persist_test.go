@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"deadmembers/internal/api"
 	"deadmembers/internal/engine"
 )
 
@@ -58,6 +59,24 @@ func TestWarmRestartServesFromDisk(t *testing.T) {
 		if !strings.Contains(string(b), want) {
 			t.Errorf("metrics missing %q:\n%s", want, b)
 		}
+	}
+}
+
+// TestArtifactKeyStable pins one artifact key, so records a persist dir
+// already holds stay valid. The key joins library names with ',', which
+// is why a library name containing ',' is rejected (TestErrorMapping)
+// instead of the key format changing.
+func TestArtifactKeyStable(t *testing.T) {
+	b, herr := bundleFromAPI(&api.Request{
+		Sources: []api.Source{{Name: "sample.mcc", Text: sample}},
+		Options: api.Options{Library: []string{"A", "B"}},
+	})
+	if herr != nil {
+		t.Fatal(herr)
+	}
+	const want = "b1ac9439856041e271fdc6be45b67eed4400ad01a0d790d139e1e9155db39f06"
+	if got := artifactKey("/v1/analyze", b); got != want {
+		t.Errorf("artifactKey = %s, want %s: existing persist dirs would go cold", got, want)
 	}
 }
 

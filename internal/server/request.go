@@ -98,6 +98,14 @@ func bundleFromAPI(req *api.Request) (*bundle, *httpError) {
 		seen[s.Name] = true
 		b.sources = append(b.sources, engine.Source{Name: s.Name, Text: s.Text})
 	}
+	// The CLIs split -library on ',' and artifactKey joins the names
+	// with it, so a name containing one has no CLI equivalent and would
+	// share a persisted artifact with the list it spells.
+	for _, name := range req.Options.Library {
+		if strings.Contains(name, ",") {
+			return nil, badRequest("library name %q contains ','", name)
+		}
+	}
 	var herr *httpError
 	if b.opts, herr = decodeOptions(req.Options); herr != nil {
 		return nil, herr

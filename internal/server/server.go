@@ -35,7 +35,6 @@ import (
 
 	"deadmembers/internal/api"
 	"deadmembers/internal/engine"
-	"deadmembers/internal/faultinject"
 	"deadmembers/internal/lint"
 	"deadmembers/internal/persist"
 	"deadmembers/internal/strip"
@@ -85,18 +84,6 @@ type Config struct {
 	// (default 1 GiB; negative = unbounded).
 	PersistMaxBytes int64
 
-	// ChaosRate, when positive, enables deterministic fault injection
-	// (internal/faultinject): each fault site — disk reads/writes/renames
-	// under the persist store, and latency/503/drop on the /v1 endpoints
-	// — fires with this probability. Off by default; never use in
-	// production except to verify that you could.
-	ChaosRate float64
-	// ChaosSeed seeds the injector (default 1) for reproducible chaos.
-	ChaosSeed int64
-	// ChaosLatency is the injected per-request delay when the latency
-	// fault fires (default 50ms).
-	ChaosLatency time.Duration
-
 	// RetryAfter overrides the Retry-After hint sent with 429 responses.
 	// Zero means adaptive: the hint is derived from the current queue
 	// depth and the recent average service time, so clients back off
@@ -126,12 +113,6 @@ func (c Config) withDefaults() Config {
 	if c.PersistMaxBytes == 0 {
 		c.PersistMaxBytes = 1 << 30
 	}
-	if c.ChaosSeed == 0 {
-		c.ChaosSeed = 1
-	}
-	if c.ChaosLatency == 0 {
-		c.ChaosLatency = 50 * time.Millisecond
-	}
 	return c
 }
 
@@ -143,15 +124,18 @@ type Server struct {
 	sess     *engine.Session
 	adm      *admission
 	met      *metrics
-	store    *persist.Store        // nil = persistence disabled
-	chaos    *faultinject.Injector // nil = chaos disabled
+	store    *persist.Store // nil = persistence disabled
 	draining atomic.Bool
 	mux      *http.ServeMux
 }
 
 // New builds a Server from cfg (see Config for defaults). It fails only
 // when the configured persist directory cannot be initialized.
-func New(cfg Config) (*Server, error) {
+func New(cfg Config) (*Server, error) { return newServer(cfg, nil) }
+
+// newServer is New with the persist store's filesystem supplied (nil =
+// the real disk); the chaos soak passes a fault-injecting one.
+func newServer(cfg Config, fsys persist.FS) (*Server, error) {
 	cfg = cfg.withDefaults()
 	limits := engine.Limits{}
 	if cfg.CacheMaxBytes > 0 {
@@ -171,16 +155,10 @@ func New(cfg Config) (*Server, error) {
 		met:  newMetrics(),
 		mux:  http.NewServeMux(),
 	}
-	if cfg.ChaosRate > 0 {
-		s.chaos = faultinject.New(cfg.ChaosSeed, cfg.ChaosRate)
-	}
 	if cfg.PersistDir != "" {
-		popts := persist.Options{}
+		popts := persist.Options{FS: fsys}
 		if cfg.PersistMaxBytes > 0 {
 			popts.MaxBytes = cfg.PersistMaxBytes
-		}
-		if s.chaos != nil {
-			popts.FS = faultinject.FS(persist.OSFS{}, s.chaos)
 		}
 		store, err := persist.Open(cfg.PersistDir, popts)
 		if err != nil {
@@ -191,18 +169,9 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/readyz", s.handleReadyz)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
-	// Chaos wraps only the analysis endpoints: health probes and metrics
-	// must stay truthful even while the network is being wrecked.
-	v1 := func(name string, fn func(ctx context.Context, b *bundle) (*handlerResult, *httpError)) {
-		var h http.Handler = s.endpoint(name, fn)
-		if s.chaos != nil {
-			h = faultinject.Handler(s.chaos, s.cfg.ChaosLatency, h)
-		}
-		s.mux.Handle(name, h)
-	}
-	v1("/v1/analyze", s.analyze)
-	v1("/v1/lint", s.lint)
-	v1("/v1/strip", s.strip)
+	s.mux.Handle("/v1/analyze", s.endpoint("/v1/analyze", s.analyze))
+	s.mux.Handle("/v1/lint", s.endpoint("/v1/lint", s.lint))
+	s.mux.Handle("/v1/strip", s.endpoint("/v1/strip", s.strip))
 	return s, nil
 }
 
@@ -479,9 +448,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if s.store != nil {
 		pst := s.store.Stats()
 		g.Persist = &pst
-	}
-	if s.chaos != nil {
-		g.Chaos = s.chaos.Counts()
 	}
 	s.met.writePrometheus(w, g)
 }

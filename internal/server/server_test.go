@@ -253,6 +253,8 @@ func TestErrorMapping(t *testing.T) {
 		{"no sources", "/v1/analyze", "application/json", `{"sources":[]}`, http.StatusBadRequest},
 		{"unknown option", "/v1/analyze?callgraph=psychic", "text/x-mcc", "int main() { return 0; }", http.StatusBadRequest},
 		{"unknown format", "/v1/lint?format=yaml", "text/x-mcc", "int main() { return 0; }", http.StatusBadRequest},
+		{"comma in library name", "/v1/analyze", "application/json",
+			`{"sources":[{"name":"a.mcc","text":"int main() { return 0; }"}],"options":{"library":["A,B"]}}`, http.StatusBadRequest},
 		{"compile error", "/v1/analyze?file=bad.mcc", "text/x-mcc", "class {", http.StatusUnprocessableEntity},
 		{"oversized body", "/v1/analyze", "text/x-mcc", strings.Repeat("x", 4096), http.StatusRequestEntityTooLarge},
 	} {
