@@ -28,7 +28,6 @@ import (
 	"deadmembers/internal/client"
 	"deadmembers/internal/deadmember"
 	"deadmembers/internal/engine"
-	"deadmembers/internal/heaplive"
 	"deadmembers/internal/lint"
 )
 
@@ -50,7 +49,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		timeout        = fs.Duration("timeout", 0, "abort the run after this duration (e.g. 30s; 0 = no limit)")
 		parallel       = fs.Int("parallel", 0, "worker count for the parse, liveness, and lint stages (0 = all cores, 1 = sequential)")
 		budget         = fs.Int("budget", 0, "dataflow solver step budget per function (0 = automatic)")
-		precisionFlag  = fs.String("precision", "flow", "liveness tier: paper (flow-insensitive only), flow, or heap (access-graph chained paths)")
 		callgraphMode  = fs.String("callgraph", "rta", "call graph construction: rta, cha, or all")
 		libraries      = fs.String("library", "", "comma-separated class names treated as library classes")
 		trustDowncasts = fs.Bool("trust-downcasts", false, "treat all downcasts as verified safe")
@@ -77,12 +75,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		fmt.Fprintf(stderr, "deadlint: unknown -format %q\n", *format)
 		return 2
 	}
-	precision, err := heaplive.ParsePrecision(*precisionFlag)
-	if err != nil {
-		fmt.Fprintf(stderr, "deadlint: %v\n", err)
-		return 2
-	}
-
 	opts := deadmember.Options{
 		TrustDowncasts: *trustDowncasts,
 	}
@@ -125,9 +117,8 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 				TrustDowncasts: *trustDowncasts,
 				Library:        opts.LibraryClasses,
 			},
-			Format:    *format,
-			Budget:    *budget,
-			Precision: precision.String(),
+			Format: *format,
+			Budget: *budget,
 		}
 		for _, s := range sources {
 			req.Sources = append(req.Sources, api.Source{Name: s.Name, Text: s.Text})
@@ -157,7 +148,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		fmt.Fprintf(stderr, "deadlint: %v\n", err)
 		return 1
 	}
-	res, timings, err := comp.LintContext(ctx, opts, lint.Options{Budget: *budget, Precision: precision})
+	res, timings, err := comp.LintContext(ctx, opts, lint.Options{Budget: *budget})
 	if err != nil {
 		fmt.Fprintf(stderr, "deadlint: %v\n", err)
 		return 1

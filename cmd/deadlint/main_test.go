@@ -96,6 +96,9 @@ func TestUsageErrors(t *testing.T) {
 	if code, _, _ := runCLI(t, "-callgraph", "magic", "x.mcc"); code != 2 {
 		t.Errorf("bad callgraph: exit = %d, want 2", code)
 	}
+	if code, _, errw := runCLI(t, "-precision=flow", "x.mcc"); code != 2 || !strings.Contains(errw, "-precision") {
+		t.Errorf("-precision: exit = %d, stderr %q", code, errw)
+	}
 }
 
 func TestMissingFile(t *testing.T) {

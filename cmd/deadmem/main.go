@@ -22,7 +22,6 @@ import (
 	"deadmembers/internal/api"
 	"deadmembers/internal/buildinfo"
 	"deadmembers/internal/client"
-	"deadmembers/internal/heaplive"
 	"deadmembers/internal/textreport"
 )
 
@@ -47,7 +46,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		trustDowncasts = fs.Bool("trust-downcasts", false, "treat all downcasts as verified safe")
 		writesAreUses  = fs.Bool("writes-are-uses", false, "ablation: treat every write as a use (paper §2 argues against this)")
 		libraries      = fs.String("library", "", "comma-separated class names treated as library classes")
-		precisionFlag  = fs.String("precision", "flow", "liveness tier (paper, flow, or heap); the dead-member report is tier-invariant, the flag is validated and forwarded for symmetry with deadlint")
 		verbose        = fs.Bool("v", false, "also list live members with the reason they are live")
 		stageTimings   = fs.Bool("verbose", false, "print per-stage wall-clock timings of the engine pipeline")
 		parallel       = fs.Int("parallel", 0, "worker count for the parse and liveness stages (0 = all cores, 1 = sequential)")
@@ -98,12 +96,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	if *libraries != "" {
 		opts.LibraryClasses = strings.Split(*libraries, ",")
 	}
-	precision, err := heaplive.ParsePrecision(*precisionFlag)
-	if err != nil {
-		fmt.Fprintf(stderr, "deadmem: %v\n", err)
-		return 2
-	}
-
 	var sources []deadmembers.Source
 	for _, path := range fs.Args() {
 		text, err := os.ReadFile(path)
@@ -134,7 +126,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			Verbose:     *verbose,
 			Classes:     *perClass,
 			Unreachable: *unreachable,
-			Precision:   precision.String(),
 		}
 		for _, s := range sources {
 			req.Sources = append(req.Sources, api.Source{Name: s.Name, Text: s.Text})

@@ -108,6 +108,9 @@ func TestUsageErrors(t *testing.T) {
 	if code := run([]string{"/does/not/exist.mcc"}, &out, &errOut); code != 1 {
 		t.Errorf("missing file should exit 1, got %d", code)
 	}
+	if code := run([]string{"-precision=flow", "/does/not/exist.mcc"}, &out, &errOut); code != 2 {
+		t.Errorf("-precision should exit 2, got %d", code)
+	}
 }
 
 func TestAnalysisFlags(t *testing.T) {

@@ -55,6 +55,9 @@ func TestUsageAndErrors(t *testing.T) {
 	if code := run([]string{"/nope.mcc"}, &out, &errOut); code != 1 {
 		t.Errorf("missing file should exit 1, got %d", code)
 	}
+	if code := run([]string{"-precision=flow", "/nope.mcc"}, &out, &errOut); code != 2 {
+		t.Errorf("-precision should exit 2, got %d", code)
+	}
 }
 
 // TestServerModeMatchesLocal: -server routes the strip through deadmemd;

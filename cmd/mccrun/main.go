@@ -19,7 +19,6 @@ import (
 
 	"deadmembers"
 	"deadmembers/internal/buildinfo"
-	"deadmembers/internal/heaplive"
 )
 
 func main() {
@@ -36,13 +35,12 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet("mccrun", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		timeout       = fs.Duration("timeout", 0, "abort compilation and execution after this duration (e.g. 30s; 0 = no limit)")
-		profile       = fs.Bool("profile", false, "run the dead-member analysis and report heap statistics")
-		maxSteps      = fs.Int64("max-steps", 0, "statement execution limit (0 = default)")
-		parallel      = fs.Int("parallel", 0, "worker count for the parse and liveness stages (0 = all cores, 1 = sequential)")
-		engineFlag    = fs.String("engine", "tree", "execution engine: tree (AST walker) or vm (bytecode + inline caches); output and heap statistics are byte-identical")
-		precisionFlag = fs.String("precision", "flow", "liveness tier (paper, flow, or heap); the dead-member report is tier-invariant, the flag is validated and forwarded for symmetry with deadlint")
-		showVersion   = fs.Bool("version", false, "print version and exit")
+		timeout     = fs.Duration("timeout", 0, "abort compilation and execution after this duration (e.g. 30s; 0 = no limit)")
+		profile     = fs.Bool("profile", false, "run the dead-member analysis and report heap statistics")
+		maxSteps    = fs.Int64("max-steps", 0, "statement execution limit (0 = default)")
+		parallel    = fs.Int("parallel", 0, "worker count for the parse and liveness stages (0 = all cores, 1 = sequential)")
+		engineFlag  = fs.String("engine", "tree", "execution engine: tree (AST walker) or vm (bytecode + inline caches); output and heap statistics are byte-identical")
+		showVersion = fs.Bool("version", false, "print version and exit")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -58,10 +56,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	}
 	eng, err := deadmembers.ParseEngine(*engineFlag)
 	if err != nil {
-		fmt.Fprintf(stderr, "mccrun: %v\n", err)
-		return 2
-	}
-	if _, err := heaplive.ParsePrecision(*precisionFlag); err != nil {
 		fmt.Fprintf(stderr, "mccrun: %v\n", err)
 		return 2
 	}

@@ -154,31 +154,15 @@ func TestEngineFlagRejected(t *testing.T) {
 	}
 }
 
-func TestPrecisionFlagForwarded(t *testing.T) {
-	path := write(t, "prec.mcc", `
-class Box { public: int keep; int waste; Box() : keep(1), waste(2) {} };
-int main() { Box* b = new Box(); int r = b->keep; delete b; return r; }`)
-	var base string
-	for _, tier := range []string{"paper", "flow", "heap"} {
-		var out, errOut strings.Builder
-		if code := run([]string{"-precision", tier, "-profile", path}, &out, &errOut); code != 1 {
-			t.Fatalf("-precision=%s: exit = %d, want 1", tier, code)
-		}
-		if base == "" {
-			base = errOut.String()
-		} else if errOut.String() != base {
-			t.Errorf("-precision=%s changed the profile (the report is tier-invariant):\n%s", tier, errOut.String())
-		}
-	}
-}
-
+// TestPrecisionFlagRejected: lint has one tier, so even the old default
+// spelling -precision=flow is a usage error.
 func TestPrecisionFlagRejected(t *testing.T) {
 	path := write(t, "e.mcc", `int main() { return 0; }`)
 	var out, errOut strings.Builder
-	if code := run([]string{"-precision", "psychic", path}, &out, &errOut); code != 2 {
-		t.Fatalf("bad -precision should exit 2, got %d", code)
+	if code := run([]string{"-precision=flow", path}, &out, &errOut); code != 2 {
+		t.Fatalf("-precision should exit 2, got %d", code)
 	}
-	if !strings.Contains(errOut.String(), "psychic") {
-		t.Errorf("stderr missing precision diagnostic:\n%s", errOut.String())
+	if !strings.Contains(errOut.String(), "-precision") {
+		t.Errorf("stderr missing flag diagnostic:\n%s", errOut.String())
 	}
 }

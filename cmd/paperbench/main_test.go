@@ -97,6 +97,17 @@ func TestEngineFlagRejected(t *testing.T) {
 	}
 }
 
+// TestPrecisionFlagRejected: paperbench has no -precision exhibit.
+func TestPrecisionFlagRejected(t *testing.T) {
+	var out, errOut strings.Builder
+	if code := run([]string{"-precision"}, &out, &errOut); code != 2 {
+		t.Fatalf("-precision should exit 2, got %d", code)
+	}
+	if !strings.Contains(errOut.String(), "-precision") {
+		t.Errorf("stderr missing flag diagnostic:\n%s", errOut.String())
+	}
+}
+
 func TestEnginesExhibit(t *testing.T) {
 	// The paper corpus is small enough to run under both engines in a
 	// couple of seconds; the exhibit itself asserts byte-identity per row

@@ -40,7 +40,6 @@ import (
 	"deadmembers/internal/engine"
 	"deadmembers/internal/failure"
 	"deadmembers/internal/frontend"
-	"deadmembers/internal/heaplive"
 	"deadmembers/internal/interp"
 	"deadmembers/internal/lint"
 	"deadmembers/internal/strip"
@@ -159,22 +158,7 @@ type Failure = failure.Failure
 type LintOptions struct {
 	// Budget caps dataflow solver steps per function (0 = automatic).
 	Budget int
-
-	// Precision selects the liveness tier — PrecisionPaper,
-	// PrecisionFlow (the zero-value default), or PrecisionHeap.
-	Precision Precision
 }
-
-// Precision selects the lint liveness tier (see internal/heaplive):
-// paper ⊆ flow ⊆ heap.
-type Precision = heaplive.Precision
-
-// Precision tiers, re-exported for LintOptions.
-const (
-	PrecisionPaper = heaplive.PrecisionPaper
-	PrecisionFlow  = heaplive.PrecisionFlow
-	PrecisionHeap  = heaplive.PrecisionHeap
-)
 
 // LintFinding is one flow-sensitive diagnostic.
 type LintFinding = lint.Finding
@@ -272,13 +256,13 @@ func (c *Compilation) AnalyzeTimedContext(ctx context.Context, opts Options) (*R
 // write-only-member corroboration — on top of the analysis, returning
 // findings sorted by (file, line, col, check).
 func (c *Compilation) Lint(opts Options, lopts LintOptions) *LintResult {
-	return c.eng.Lint(opts.analysisOptions(), lint.Options{Budget: lopts.Budget, Precision: lopts.Precision})
+	return c.eng.Lint(opts.analysisOptions(), lint.Options{Budget: lopts.Budget})
 }
 
 // LintContext is Lint under a context, with per-stage timings. An
 // interrupted run returns the context's error and a nil result.
 func (c *Compilation) LintContext(ctx context.Context, opts Options, lopts LintOptions) (*LintResult, Timings, error) {
-	return c.eng.LintContext(ctx, opts.analysisOptions(), lint.Options{Budget: lopts.Budget, Precision: lopts.Precision})
+	return c.eng.LintContext(ctx, opts.analysisOptions(), lint.Options{Budget: lopts.Budget})
 }
 
 // Profile analyzes and then executes the program with an instrumented

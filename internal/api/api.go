@@ -17,12 +17,9 @@ type Request struct {
 	Classes     bool `json:"classes,omitempty"`
 	Unreachable bool `json:"unreachable,omitempty"`
 
-	// lint (deadlint -format / -budget / -precision)
+	// lint (deadlint -format / -budget)
 	Format string `json:"format,omitempty"`
 	Budget int    `json:"budget,omitempty"`
-	// Precision selects the liveness tier: "paper", "flow" (the default
-	// when empty, matching pre-knob requests), or "heap".
-	Precision string `json:"precision,omitempty"`
 
 	// strip (deadstrip -keep-unreachable)
 	KeepUnreachable bool `json:"keep_unreachable,omitempty"`

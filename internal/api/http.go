@@ -18,7 +18,7 @@ import (
 //     ?file= query parameter, with options passed as query parameters
 //     named after the CLI flags (callgraph, sizeof, no-delete-rule,
 //     trust-downcasts, writes-are-uses, library, v, classes,
-//     unreachable, format, budget, precision, keep-unreachable).
+//     unreachable, format, budget, keep-unreachable).
 //
 // Semantic validation (option values, duplicate names) is the caller's
 // job; FromHTTP only normalizes the transport.
@@ -42,14 +42,19 @@ func fromRawHTTP(r *http.Request, body []byte) (*Request, error) {
 	if name == "" {
 		name = "input.mcc"
 	}
+	// Unknown parameters are otherwise ignored, but lint once took a
+	// precision tier here: refuse it rather than silently run the one
+	// tier left, the way a JSON body's unknown field is refused.
+	if q.Has("precision") {
+		return nil, fmt.Errorf("unknown parameter %q", "precision")
+	}
 	req := &Request{
 		Sources: []Source{{Name: name, Text: string(body)}},
 		Options: Options{
 			CallGraph: q.Get("callgraph"),
 			Sizeof:    q.Get("sizeof"),
 		},
-		Format:    q.Get("format"),
-		Precision: q.Get("precision"),
+		Format: q.Get("format"),
 	}
 	if lib := q.Get("library"); lib != "" {
 		req.Options.Library = strings.Split(lib, ",")

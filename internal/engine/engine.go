@@ -26,7 +26,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"runtime"
-	"strings"
 	"sync"
 	"time"
 
@@ -90,8 +89,7 @@ type Timings struct {
 
 	CallGraphCached bool
 	// LintCached reports that the lint result came from the
-	// per-compilation cache (Lint is zero then); the cache key includes
-	// the precision tier, so tiers never collide.
+	// per-compilation cache (Lint is zero then).
 	LintCached bool
 }
 
@@ -340,9 +338,11 @@ func parallelFor(ctx context.Context, workers, n int, fn func(int)) bool {
 // graphKey identifies the options that affect call-graph construction:
 // the mode and the library-class designation (whose virtual overriders
 // become extra roots). Marking rules (sizeof, delete, writes-are-uses,
-// downcasts) do not change the graph and share cache entries.
+// downcasts) do not change the graph and share cache entries. Library
+// names are quoted, so no name can forge a separator and ["A B"],
+// ["A\x00B"] and ["A","B"] all key differently.
 func graphKey(opts deadmember.Options) string {
-	return opts.CallGraph.String() + "\x00" + strings.Join(opts.LibraryClasses, "\x00")
+	return fmt.Sprintf("%s lib=%q", opts.CallGraph, opts.LibraryClasses)
 }
 
 // graphFor returns the call graph for opts, building and caching it on
@@ -446,12 +446,14 @@ func (c *Compilation) LintAnalyzed(ctx context.Context, ar *deadmember.Result, l
 	return res, took, err
 }
 
-// lintKey identifies everything that can change a lint result: the
-// analysis options (call graph, marking rules, libraries) and the lint
-// options — budget and, crucially, the precision tier, so tier results
-// never collide in the cache.
+// lintKey identifies everything that can change a lint result: every
+// analysis option (call graph, marking rules, libraries) and the lint
+// budget. Library names are quoted for the same reason as in graphKey.
+// A field added to deadmember.Options must be added here too.
 func lintKey(opts deadmember.Options, lopts lint.Options) string {
-	return fmt.Sprintf("%+v\x00%d\x00%s", opts, lopts.Budget, lopts.Precision)
+	return fmt.Sprintf("%s sizeof=%d nodelete=%t downcasts=%t writesareuses=%t lib=%q budget=%d",
+		opts.CallGraph, opts.Sizeof, opts.NoDeleteSpecialCase, opts.TrustDowncasts,
+		opts.WritesAreUses, opts.LibraryClasses, lopts.Budget)
 }
 
 func (c *Compilation) lintAnalyzed(ctx context.Context, ar *deadmember.Result, lopts lint.Options) (*lint.Result, time.Duration, bool, error) {

@@ -148,6 +148,21 @@ func TestSessionCompileOnce(t *testing.T) {
 	}
 }
 
+// TestCallGraphCacheKeysLibraryNames: the call-graph cache must keep
+// library lists apart even when a name embeds what a naive join would
+// use as its separator — ["A\x00B"] is one class, ["A","B"] two.
+func TestCallGraphCacheKeysLibraryNames(t *testing.T) {
+	c := engine.Compile(engine.Config{}, frontend.Source{Name: "a.mcc", Text: "class A { public: int x; A() : x(1) {} }; int main() { A a; return 0; }"})
+	if err := c.Err(); err != nil {
+		t.Fatal(err)
+	}
+	for _, libs := range [][]string{{"A\x00B"}, {"A", "B"}, {"A B"}} {
+		if _, timings := c.AnalyzeTimed(deadmember.Options{LibraryClasses: libs}); timings.CallGraphCached {
+			t.Fatalf("library list %q served another list's call graph", libs)
+		}
+	}
+}
+
 // TestStripConsumesCompilation: the strip transform rewrites the ASTs, so
 // the session must treat the compilation as evicted and recompile.
 func TestStripConsumesCompilation(t *testing.T) {

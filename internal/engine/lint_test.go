@@ -7,7 +7,6 @@ import (
 	"deadmembers/internal/callgraph"
 	"deadmembers/internal/deadmember"
 	"deadmembers/internal/engine"
-	"deadmembers/internal/heaplive"
 	"deadmembers/internal/lint"
 	"deadmembers/internal/types"
 )
@@ -57,74 +56,55 @@ func TestLintTimingsAndFindings(t *testing.T) {
 	}
 }
 
-// lintChainSrc has one chained dead store only the heap tier can see.
-const lintChainSrc = `
-class Inner {
-public:
-    int val;
-    Inner() : val(0) {}
-};
-class Outer {
-public:
-    Inner in;
-    int tag;
-    Outer() : tag(0) {}
-};
-int main() {
-    Outer o;
-    o.in.val = 1;
-    o.in.val = 2;
-    print(o.in.val + o.tag);
-    return 0;
-}
-`
-
-// TestLintCachePerPrecision exercises the per-compilation lint cache:
-// a repeat run at the same tier is a flagged cache hit returning the
-// identical result, and the tiers occupy distinct cache entries — the
-// heap tier keeps its extra finding on a re-request after a flow run.
+// TestLintCachePerPrecision exercises the per-compilation lint cache
+// (named for the precision tiers it once keyed): a repeat run is a
+// flagged cache hit returning the identical result, while a different
+// budget or library list gets its own entry.
 func TestLintCachePerPrecision(t *testing.T) {
 	sess := engine.NewSession(engine.Config{})
-	comp := sess.CompileContext(context.Background(), engine.Source{Name: "chain.mcc", Text: lintChainSrc})
+	comp := sess.CompileContext(context.Background(), engine.Source{Name: "lint.mcc", Text: lintSrc})
 	if err := comp.Err(); err != nil {
 		t.Fatal(err)
 	}
 	opts := deadmember.Options{CallGraph: callgraph.RTA}
 
-	counts := map[heaplive.Precision]int{}
-	for _, p := range heaplive.Tiers() {
-		first, timings, err := comp.LintContext(context.Background(), opts, lint.Options{Precision: p})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if timings.LintCached {
-			t.Fatalf("%s tier: first run flagged as cached", p)
-		}
-		again, timings, err := comp.LintContext(context.Background(), opts, lint.Options{Precision: p})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !timings.LintCached || timings.Lint != 0 {
-			t.Fatalf("%s tier: repeat run not served from cache (cached=%v lint=%v)",
-				p, timings.LintCached, timings.Lint)
-		}
-		if again != first {
-			t.Fatalf("%s tier: cache returned a different result", p)
-		}
-		counts[p] = len(first.Findings)
+	first, timings, err := comp.LintContext(context.Background(), opts, lint.Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !(counts[heaplive.PrecisionHeap] > counts[heaplive.PrecisionFlow]) {
-		t.Fatalf("heap tier collided with flow in the cache: heap=%d flow=%d",
-			counts[heaplive.PrecisionHeap], counts[heaplive.PrecisionFlow])
+	if timings.LintCached {
+		t.Fatal("first run flagged as cached")
+	}
+	again, timings, err := comp.LintContext(context.Background(), opts, lint.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !timings.LintCached || timings.Lint != 0 {
+		t.Fatalf("repeat run not served from cache (cached=%v lint=%v)", timings.LintCached, timings.Lint)
+	}
+	if again != first {
+		t.Fatal("cache returned a different result")
 	}
 
-	// Distinct budgets must not collide either.
-	_, timings, err := comp.LintContext(context.Background(), opts, lint.Options{Budget: 1 << 20})
+	// Distinct budgets must not collide.
+	_, timings, err = comp.LintContext(context.Background(), opts, lint.Options{Budget: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if timings.LintCached {
 		t.Fatal("budget change served from the old cache entry")
+	}
+
+	// Nor may library lists that print alike: ["P x"] and ["P","x"].
+	for _, libs := range [][]string{{"P x"}, {"P", "x"}} {
+		lopts := deadmember.Options{CallGraph: callgraph.RTA, LibraryClasses: libs}
+		_, timings, err := comp.LintContext(context.Background(), lopts, lint.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if timings.LintCached {
+			t.Fatalf("library list %q served from another list's cache entry", libs)
+		}
 	}
 }
 

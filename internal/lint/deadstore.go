@@ -8,7 +8,6 @@ import (
 	"deadmembers/internal/cfg"
 	"deadmembers/internal/dataflow"
 	"deadmembers/internal/deadmember"
-	"deadmembers/internal/heaplive"
 	"deadmembers/internal/source"
 	"deadmembers/internal/token"
 	"deadmembers/internal/types"
@@ -50,7 +49,7 @@ type funcState struct {
 }
 
 // deadStores runs the dead-store check on one reachable function whose
-// CFG the caller already built (it is shared with the heap-tier pass).
+// CFG the caller already built.
 // The returned error is a dataflow budget overrun or a context
 // cancellation; findings are nil in that case.
 func deadStores(ar *deadmember.Result, f *types.Func, g *cfg.Graph, cl *classification, sup map[*types.Field]bool, call *fieldSet, opts Options, ctx context.Context) ([]Finding, error) {
@@ -206,11 +205,46 @@ func (fs *funcState) exitLive() dataflow.BitSet {
 			out.Set(i)
 		case types.IsPointer(l.base.Type):
 			out.Set(i)
-		case heaplive.HasUserDtor(types.IsClass(l.base.Type)):
+		case hasUserDtor(types.IsClass(l.base.Type), map[*types.Class]bool{}):
 			out.Set(i)
 		}
 	}
 	return out
+}
+
+// hasUserDtor reports whether destroying a value of class c runs any
+// user-declared destructor — its own, a base's, or a member's, through
+// arrays.
+func hasUserDtor(c *types.Class, seen map[*types.Class]bool) bool {
+	if c == nil || seen[c] {
+		return false
+	}
+	seen[c] = true
+	if c.Dtor() != nil {
+		return true
+	}
+	for _, b := range c.Bases {
+		if hasUserDtor(b.Class, seen) {
+			return true
+		}
+	}
+	for _, f := range c.Fields {
+		if hasUserDtor(types.IsClass(elemType(f.Type)), seen) {
+			return true
+		}
+	}
+	return false
+}
+
+// elemType strips array layers.
+func elemType(t types.Type) types.Type {
+	for {
+		arr, ok := t.(*types.Array)
+		if !ok {
+			return t
+		}
+		t = arr.Elem
+	}
 }
 
 // blockTransfer composes the block's atoms into one gen/kill pair.
@@ -239,15 +273,7 @@ func (fs *funcState) genField(fld *types.Field, gen dataflow.BitSet) {
 	for _, id := range fs.byField[fld] {
 		gen.Set(id)
 	}
-	t := fld.Type
-	for {
-		if arr, ok := t.(*types.Array); ok {
-			t = arr.Elem
-			continue
-		}
-		break
-	}
-	if c := types.IsClass(t); c != nil {
+	if c := types.IsClass(elemType(fld.Type)); c != nil {
 		fs.genClass(c, gen, map[*types.Class]bool{})
 	}
 }
@@ -263,15 +289,7 @@ func (fs *funcState) genClass(c *types.Class, gen dataflow.BitSet, seen map[*typ
 		for _, id := range fs.byField[f] {
 			gen.Set(id)
 		}
-		t := f.Type
-		for {
-			if arr, ok := t.(*types.Array); ok {
-				t = arr.Elem
-				continue
-			}
-			break
-		}
-		fs.genClass(types.IsClass(t), gen, seen)
+		fs.genClass(types.IsClass(elemType(f.Type)), gen, seen)
 	}
 	for _, b := range c.Bases {
 		fs.genClass(b.Class, gen, seen)

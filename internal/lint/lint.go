@@ -27,7 +27,6 @@ import (
 	"deadmembers/internal/dataflow"
 	"deadmembers/internal/deadmember"
 	"deadmembers/internal/failure"
-	"deadmembers/internal/heaplive"
 	"deadmembers/internal/types"
 )
 
@@ -41,15 +40,8 @@ const (
 type Options struct {
 	// Budget caps dataflow solver steps per function; 0 selects the
 	// automatic budget (dataflow.DefaultBudget), which no well-formed
-	// function exceeds. The budget applies to each solver pass
-	// independently (the heap tier runs two per function).
+	// function exceeds.
 	Budget int
-
-	// Precision selects the liveness tier: paper (flow-insensitive
-	// write-only corroboration only), flow (the default, zero value:
-	// length-one access paths), or heap (flow plus the access-graph
-	// chained-path pass). Findings are monotone: paper ⊆ flow ⊆ heap.
-	Precision heaplive.Precision
 }
 
 // Exec configures how — not what — Run computes; any Workers value
@@ -139,78 +131,50 @@ func RunWith(ar *deadmember.Result, opts Options, exec Exec) *Result {
 
 	// Phase 2 (parallel): per-function CFG + backward liveness. Results
 	// land in per-index slots and merge in index order, so findings are
-	// byte-identical at any worker count. The paper tier skips this
-	// phase entirely — its findings are the flow-insensitive write-only
-	// corroboration of phase 3.
-	if opts.Precision != heaplive.PrecisionPaper {
-		sup := suppressedFields(ar, cls)
-		sums := readSummaries(ar, funcs, cls, index)
+	// byte-identical at any worker count.
+	sup := suppressedFields(ar, cls)
 
-		// What each function's outgoing calls may read: the union of its
-		// callees' transitive summaries (not the function's own reads —
-		// those gen at their own atoms).
-		calls := calleeUnion(ar, funcs, index, sums)
+	// What each function's outgoing calls may read: the union of its
+	// callees' transitive summaries (not the function's own reads —
+	// those gen at their own atoms).
+	calls := calleeUnion(ar, funcs, index, readSummaries(ar, funcs, cls, index))
 
-		// The heap tier additionally needs what a call may *write*: a
-		// callee store to a chain-interior field can re-point a tracked
-		// path's prefix.
-		var callWrites []*fieldSet
-		if opts.Precision == heaplive.PrecisionHeap {
-			callWrites = calleeUnion(ar, funcs, index, writeSummaries(ar, funcs, cls, index))
-		}
-
-		findings := make([][]Finding, len(funcs))
-		fails := make([]*failure.Failure, len(funcs))
-		errs := make([]error, len(funcs))
-		lintOne := func(i int) {
-			f := funcs[i]
-			fails[i] = failure.Catch("lint", f.QualifiedName(), func() {
-				if exec.FuncFault != nil {
-					exec.FuncFault(f)
-				}
-				g := cfg.Build(f)
-				if g == nil {
-					return
-				}
+	findings := make([][]Finding, len(funcs))
+	fails := make([]*failure.Failure, len(funcs))
+	errs := make([]error, len(funcs))
+	lintOne := func(i int) {
+		f := funcs[i]
+		fails[i] = failure.Catch("lint", f.QualifiedName(), func() {
+			if exec.FuncFault != nil {
+				exec.FuncFault(f)
+			}
+			if g := cfg.Build(f); g != nil {
 				findings[i], errs[i] = deadStores(ar, f, g, cls[i], sup, calls[i], opts, ctx)
-				if errs[i] != nil || callWrites == nil {
-					return
-				}
-				stores, herr := heaplive.Analyze(ar.Program.Info, g, accAdapter{cls[i]},
-					heapSummary(calls[i], callWrites[i]), sup,
-					heaplive.Options{Budget: opts.Budget, Ctx: ctx})
-				if herr != nil {
-					errs[i] = herr
-					return
-				}
-				for _, ds := range stores {
-					findings[i] = append(findings[i], heapFinding(ar, f, ds))
-				}
+			}
+		})
+	}
+	if !runParallel(ctx, exec.Workers, len(funcs), lintOne) {
+		res.Interrupted = true
+	}
+	for i, f := range funcs {
+		res.Findings = append(res.Findings, findings[i]...)
+		if fails[i] != nil {
+			res.Failures = append(res.Failures, fails[i])
+		}
+		switch {
+		case errs[i] == nil:
+		case errors.Is(errs[i], dataflow.ErrBudget):
+			// A budget overrun is an ordinary internal diagnostic, not a
+			// crash: surface it through the same Failures/Degraded path.
+			res.Failures = append(res.Failures, &failure.Failure{
+				Stage: "lint",
+				Unit:  f.QualifiedName(),
+				Value: errs[i].Error(),
+				Stack: "budget",
 			})
-		}
-		if !runParallel(ctx, exec.Workers, len(funcs), lintOne) {
+		default:
+			// Context cancellation mid-solve.
 			res.Interrupted = true
-		}
-		for i, f := range funcs {
-			res.Findings = append(res.Findings, findings[i]...)
-			if fails[i] != nil {
-				res.Failures = append(res.Failures, fails[i])
-			}
-			switch {
-			case errs[i] == nil:
-			case errors.Is(errs[i], dataflow.ErrBudget):
-				// A budget overrun is an ordinary internal diagnostic, not a
-				// crash: surface it through the same Failures/Degraded path.
-				res.Failures = append(res.Failures, &failure.Failure{
-					Stage: "lint",
-					Unit:  f.QualifiedName(),
-					Value: errs[i].Error(),
-					Stack: "budget",
-				})
-			default:
-				// Context cancellation mid-solve.
-				res.Interrupted = true
-			}
 		}
 	}
 
@@ -263,15 +227,7 @@ func suppressedFields(ar *deadmember.Result, cls []*classification) map[*types.F
 		seen[c] = true
 		for _, f := range c.Fields {
 			sup[f] = true
-			t := f.Type
-			for {
-				if arr, ok := t.(*types.Array); ok {
-					t = arr.Elem
-					continue
-				}
-				break
-			}
-			supClass(types.IsClass(t), seen)
+			supClass(types.IsClass(elemType(f.Type)), seen)
 		}
 		for _, b := range c.Bases {
 			supClass(b.Class, seen)
@@ -334,28 +290,8 @@ func readSummaries(ar *deadmember.Result, funcs []*types.Func, cls []*classifica
 		}
 		sums[i] = s
 	}
-	return summaryFixpoint(ar, funcs, index, sums)
-}
-
-// writeSummaries is the store-side counterpart (heap tier): the fields
-// each function and its callees may store to, seeded from the
-// classifier's write sites (including constructor initializers).
-func writeSummaries(ar *deadmember.Result, funcs []*types.Func, cls []*classification, index map[*types.Func]int) []*fieldSet {
-	sums := make([]*fieldSet, len(funcs))
-	for i, cl := range cls {
-		s := &fieldSet{m: map[*types.Field]bool{}, universal: cl.universal}
-		for _, w := range cl.writes {
-			s.m[w.field] = true
-		}
-		sums[i] = s
-	}
-	return summaryFixpoint(ar, funcs, index, sums)
-}
-
-// summaryFixpoint closes per-function seed sets over the call graph's
-// edges: each function absorbs its callees' sets until quiescence.
-// Monotone, so iteration terminates.
-func summaryFixpoint(ar *deadmember.Result, funcs []*types.Func, index map[*types.Func]int, sums []*fieldSet) []*fieldSet {
+	// Close the seeds over the call graph's edges: each function absorbs
+	// its callees' sets until quiescence. Monotone, so this terminates.
 	for {
 		changed := false
 		for i, f := range funcs {

@@ -193,14 +193,21 @@ func TestParallelDeterminism(t *testing.T) {
 
 // TestBudgetOverrunDegrades drives the solver into its step budget and
 // expects an ordinary degraded result — failures with the "budget"
-// marker, no panic, no hang.
+// marker that name the overrunning function, no panic, no hang.
 func TestBudgetOverrunDegrades(t *testing.T) {
 	ar := analyzeFixture(t, "plain.mcc", deadmember.Options{CallGraph: callgraph.RTA})
 	r := Run(ar, Options{Budget: 1})
 	if !r.Degraded() {
 		t.Fatal("budget 1 should degrade the run")
 	}
+	reachable := map[string]bool{}
+	for _, f := range ar.CallGraph.ReachableFuncs() {
+		reachable[f.QualifiedName()] = true
+	}
 	for _, f := range r.Failures {
+		if !reachable[f.Unit] {
+			t.Errorf("failure unit %q does not name a reachable function", f.Unit)
+		}
 		if f.Stage != "lint" {
 			t.Errorf("failure stage = %q, want lint", f.Stage)
 		}

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"time"
 
 	"deadmembers/internal/bench"
 	"deadmembers/internal/callgraph"
@@ -18,7 +17,6 @@ import (
 	"deadmembers/internal/dynprof"
 	"deadmembers/internal/engine"
 	"deadmembers/internal/failure"
-	"deadmembers/internal/heaplive"
 	"deadmembers/internal/lint"
 )
 
@@ -52,14 +50,6 @@ type BenchmarkResult struct {
 	// LintFindings counts the flow-sensitive diagnostics of a clean run;
 	// degraded rows never contribute to lint statistics.
 	LintFindings int
-
-	// TierFindings and TierLint are the precision/cost frontier: the
-	// finding count and lint wall clock at each liveness tier, indexed
-	// by heaplive.Precision.Rank() (paper, flow, heap). The flow slot
-	// reuses the LintFindings run above, so its cost is a real
-	// measurement rather than a lint-cache hit's zero.
-	TierFindings [3]int
-	TierLint     [3]time.Duration
 
 	// Degraded marks a row whose pipeline did not complete cleanly: a
 	// compile error, a contained panic, or a heap-accounting violation.
@@ -139,28 +129,6 @@ func CollectInContextEngine(ctx context.Context, s *engine.Session, b *bench.Ben
 			r.FailReason = lres.Failures[0].Error()
 		} else {
 			r.LintFindings = len(lres.Findings)
-			// Precision/cost frontier: run the remaining tiers against
-			// the same analysis. The flow slot reuses the run just
-			// measured — a repeat LintAnalyzed call would be a cache
-			// hit and record a misleading zero cost.
-			r.TierFindings[heaplive.PrecisionFlow.Rank()] = len(lres.Findings)
-			r.TierLint[heaplive.PrecisionFlow.Rank()] = lintTime
-			for _, p := range heaplive.Tiers() {
-				if p == heaplive.PrecisionFlow {
-					continue
-				}
-				tres, took, err := c.LintAnalyzed(ctx, res, lint.Options{Precision: p})
-				if err != nil {
-					return nil, fmt.Errorf("%s: %w", b.Name, err)
-				}
-				if tres.Degraded() {
-					r.Degraded = true
-					r.FailReason = tres.Failures[0].Error()
-					break
-				}
-				r.TierFindings[p.Rank()] = len(tres.Findings)
-				r.TierLint[p.Rank()] = took
-			}
 		}
 	}
 
@@ -287,41 +255,6 @@ func TimingsTable(results []*BenchmarkResult, stats engine.Stats) string {
 		lintFindings, lintRows)
 	fmt.Fprintf(&b, "session: %d frontend compile(s), %d cache hit(s)\n",
 		stats.Compiles, stats.Hits)
-	return b.String()
-}
-
-// PrecisionTable renders the precision/cost frontier the original paper
-// never measured: per-benchmark lint findings and wall clock at each
-// liveness tier — paper (flow-insensitive write-only members only),
-// flow (length-one dead stores, the default), and heap (access-graph
-// chained paths) — plus the extra findings each step up buys. Findings
-// are cumulative (paper <= flow <= heap by construction), so the +flow
-// and +heap columns are never negative. Degraded rows are excluded.
-func PrecisionTable(results []*BenchmarkResult) string {
-	var b strings.Builder
-	b.WriteString("Precision/cost frontier: lint findings and wall clock per liveness tier\n")
-	b.WriteString("(findings are cumulative: paper <= flow <= heap; + columns are the extra findings each tier adds)\n")
-	fmt.Fprintf(&b, "%-10s %7s %12s %7s %12s %7s %12s %7s %7s\n",
-		"benchmark", "paper", "lint", "flow", "lint", "heap", "lint", "+flow", "+heap")
-	b.WriteString(strings.Repeat("-", 92) + "\n")
-	var sumF [3]int
-	var sumT [3]time.Duration
-	for _, r := range results {
-		if r.Degraded {
-			fmt.Fprintf(&b, "%-10s [degraded; excluded]\n", r.Name)
-			continue
-		}
-		f, t := r.TierFindings, r.TierLint
-		fmt.Fprintf(&b, "%-10s %7d %12v %7d %12v %7d %12v %7d %7d\n",
-			r.Name, f[0], t[0], f[1], t[1], f[2], t[2], f[1]-f[0], f[2]-f[1])
-		for i := range f {
-			sumF[i] += f[i]
-			sumT[i] += t[i]
-		}
-	}
-	fmt.Fprintf(&b, "%-10s %7d %12v %7d %12v %7d %12v %7d %7d\n",
-		"total", sumF[0], sumT[0], sumF[1], sumT[1], sumF[2], sumT[2],
-		sumF[1]-sumF[0], sumF[2]-sumF[1])
 	return b.String()
 }
 

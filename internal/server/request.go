@@ -13,7 +13,6 @@ import (
 	"deadmembers/internal/callgraph"
 	"deadmembers/internal/deadmember"
 	"deadmembers/internal/engine"
-	"deadmembers/internal/heaplive"
 )
 
 // httpError is a handler failure carrying the status code to report.
@@ -40,10 +39,9 @@ type bundle struct {
 	classes     bool
 	unreachable bool
 
-	// lint (deadlint -format / -budget / -precision)
-	format    string
-	budget    int
-	precision heaplive.Precision
+	// lint (deadlint -format / -budget)
+	format string
+	budget int
 
 	// strip (deadstrip -keep-unreachable)
 	keepUnreachable bool
@@ -113,11 +111,6 @@ func bundleFromAPI(req *api.Request) (*bundle, *httpError) {
 	if b.format, herr = decodeFormat(req.Format); herr != nil {
 		return nil, herr
 	}
-	p, err := heaplive.ParsePrecision(req.Precision)
-	if err != nil {
-		return nil, badRequest("%v", err)
-	}
-	b.precision = p
 	return b, nil
 }
 
@@ -181,7 +174,10 @@ func artifactKey(endpoint string, b *bundle) string {
 		fmt.Sprintf("unreachable=%t", b.unreachable),
 		"format=" + b.format,
 		fmt.Sprintf("budget=%d", b.budget),
-		"precision=" + b.precision.String(),
+		// Lint once had precision tiers and the key named the one used.
+		// Every artifact is the flow tier's, so the segment stays as a
+		// constant: keys, and persist dirs written with them, survive.
+		"precision=flow",
 		fmt.Sprintf("keepunreachable=%t", b.keepUnreachable),
 		"src=" + engine.Fingerprint(b.sources...),
 	}, "\x00")

@@ -363,7 +363,7 @@ func (s *Server) lint(ctx context.Context, b *bundle) (*handlerResult, *httpErro
 	if herr != nil {
 		return nil, herr
 	}
-	res, _, err := comp.LintContext(ctx, b.opts, lint.Options{Budget: b.budget, Precision: b.precision})
+	res, _, err := comp.LintContext(ctx, b.opts, lint.Options{Budget: b.budget})
 	if err != nil {
 		return nil, ctxErr(err)
 	}

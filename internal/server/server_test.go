@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -14,7 +16,6 @@ import (
 	"deadmembers/internal/api"
 	"deadmembers/internal/deadmember"
 	"deadmembers/internal/engine"
-	"deadmembers/internal/heaplive"
 	"deadmembers/internal/lint"
 	"deadmembers/internal/strip"
 	"deadmembers/internal/textreport"
@@ -106,14 +107,15 @@ func TestAnalyzeJSONBundle(t *testing.T) {
 	}
 }
 
-// chainSample has a two-member-deep dead store that only the heap
-// precision tier reports, so the tiers render observably different
-// bodies.
+// chainSample has a two-member-deep store the length-one dead-store
+// check does not report (a known false negative) next to a write-only
+// member it does.
 const chainSample = `
 class Inner {
 public:
 	int val;
-	Inner() : val(0) {}
+	int pad;
+	Inner() : val(0), pad(0) {}
 };
 class Outer {
 public:
@@ -130,11 +132,8 @@ int main() {
 }
 `
 
-// TestLintPrecisionMatchesCLIRenderer: every precision tier's /v1/lint
-// body must be byte-identical to what deadlint -precision=<tier> prints
-// for the same input, an empty precision must alias the flow tier
-// (legacy requests), and the heap tier must visibly differ from flow on
-// a chained fixture — proof the knob reaches the analysis.
+// TestLintPrecisionMatchesCLIRenderer: the /v1/lint body must be
+// byte-identical to what deadlint prints for the same input.
 func TestLintPrecisionMatchesCLIRenderer(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 
@@ -142,34 +141,58 @@ func TestLintPrecisionMatchesCLIRenderer(t *testing.T) {
 	if err := comp.Err(); err != nil {
 		t.Fatal(err)
 	}
-	bodies := map[string]string{}
-	for _, p := range heaplive.Tiers() {
-		res := comp.Lint(deadmember.Options{}, lint.Options{Precision: p})
-		var want bytes.Buffer
-		if err := lint.WriteText(&want, res); err != nil {
+	res := comp.Lint(deadmember.Options{}, lint.Options{})
+	if len(res.Findings) == 0 {
+		t.Fatal("fixture produced no findings; the comparison would be vacuous")
+	}
+	var want bytes.Buffer
+	if err := lint.WriteText(&want, res); err != nil {
+		t.Fatal(err)
+	}
+	resp, body := post(t, ts.URL+"/v1/lint?file=chain.mcc", "text/x-mcc", chainSample)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d, body: %s", resp.StatusCode, body)
+	}
+	if body != want.String() {
+		t.Errorf("body diverges from CLI writer:\n--- server ---\n%s--- cli ---\n%s", body, want.String())
+	}
+}
+
+// TestLintLibraryListsDoNotShareCache: two library lists that print
+// alike, ["Cache X"] and ["Cache","X"], must not share a lint result on
+// one server. The second request gets what a fresh server answers.
+func TestLintLibraryListsDoNotShareCache(t *testing.T) {
+	text, err := os.ReadFile(filepath.Join("..", "..", "examples", "mcc", "writeonly.mcc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lintBody := func(libs ...string) string {
+		b, err := json.Marshal(api.Request{
+			Sources: []api.Source{{Name: "writeonly.mcc", Text: string(text)}},
+			Options: api.Options{Library: libs},
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
-		resp, body := post(t, ts.URL+"/v1/lint?file=chain.mcc&precision="+p.String(), "text/x-mcc", chainSample)
+		return string(b)
+	}
+	lintOn := func(ts *httptest.Server, libs ...string) string {
+		resp, body := post(t, ts.URL+"/v1/lint", "application/json", lintBody(libs...))
 		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: status %d, body: %s", p, resp.StatusCode, body)
+			t.Fatalf("library %q: status %d, body: %s", libs, resp.StatusCode, body)
 		}
-		if body != want.String() {
-			t.Errorf("%s: body diverges from CLI writer:\n--- server ---\n%s--- cli ---\n%s", p, body, want.String())
-		}
-		bodies[p.String()] = body
+		return body
 	}
 
-	_, legacy := post(t, ts.URL+"/v1/lint?file=chain.mcc", "text/x-mcc", chainSample)
-	if legacy != bodies["flow"] {
-		t.Errorf("empty precision diverges from the flow tier:\n--- legacy ---\n%s--- flow ---\n%s", legacy, bodies["flow"])
-	}
-	if bodies["heap"] == bodies["flow"] {
-		t.Error("heap tier body identical to flow on the chained fixture; the knob is not reaching the analysis")
-	}
+	_, fresh := newTestServer(t, Config{Workers: 1})
+	want := lintOn(fresh, "Cache", "X")
 
-	resp, body := post(t, ts.URL+"/v1/lint?precision=bogus", "text/x-mcc", chainSample)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("bogus precision: status %d, body: %s", resp.StatusCode, body)
+	_, shared := newTestServer(t, Config{Workers: 1})
+	if first := lintOn(shared, "Cache X"); first == want {
+		t.Fatalf("fixture does not tell the lists apart: both answer\n%s", first)
+	}
+	if got := lintOn(shared, "Cache", "X"); got != want {
+		t.Errorf("second list served the first list's result:\n--- got ---\n%s--- fresh server ---\n%s", got, want)
 	}
 }
 
@@ -255,6 +278,9 @@ func TestErrorMapping(t *testing.T) {
 		{"unknown format", "/v1/lint?format=yaml", "text/x-mcc", "int main() { return 0; }", http.StatusBadRequest},
 		{"comma in library name", "/v1/analyze", "application/json",
 			`{"sources":[{"name":"a.mcc","text":"int main() { return 0; }"}],"options":{"library":["A,B"]}}`, http.StatusBadRequest},
+		{"precision in JSON body", "/v1/lint", "application/json",
+			`{"sources":[{"name":"a.mcc","text":"int main() { return 0; }"}],"precision":"flow"}`, http.StatusBadRequest},
+		{"precision query parameter", "/v1/lint?precision=heap", "text/x-mcc", "int main() { return 0; }", http.StatusBadRequest},
 		{"compile error", "/v1/analyze?file=bad.mcc", "text/x-mcc", "class {", http.StatusUnprocessableEntity},
 		{"oversized body", "/v1/analyze", "text/x-mcc", strings.Repeat("x", 4096), http.StatusRequestEntityTooLarge},
 	} {
