@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build vet fmt-check lint test race race-server bench bench-vm fuzz serve smoke-server smoke-restart smoke-vm chaos-smoke perfbench-check check ci
+.PHONY: build vet fmt-check lint test race race-server bench bench-vm fuzz serve smoke-server smoke-restart smoke-vm chaos-smoke perfbench-check bench-smoke check ci
 
 build:
 	$(GO) build ./...
@@ -74,6 +74,11 @@ perfbench-check:
 bench:
 	$(GO) test -bench=. -benchmem
 
+# One iteration of the call-graph and scaling benchmarks (up to 3200
+# classes), so their bodies, which fail on empty or failed output, run.
+bench-smoke:
+	$(GO) test -run '^$$' -bench 'CallGraphRTA|AnalysisScaling' -benchtime 1x .
+
 # Engine throughput snapshot over the 10-50x large corpus: runs each
 # large benchmark to completion under both engines (the tree runs take
 # about a minute each — this is a benchmarking target, not a CI gate)
@@ -95,7 +100,7 @@ fuzz:
 
 # The quick local gate: build + static checks + tests + the engine
 # smoke. Slower CI-only passes (race soaks, server smokes) stay out.
-check: build vet fmt-check test perfbench-check smoke-vm
+check: build vet fmt-check test bench-smoke perfbench-check smoke-vm
 
 # What CI runs (see .github/workflows/ci.yml).
-ci: build vet race race-server lint smoke-server smoke-restart smoke-vm chaos-smoke perfbench-check
+ci: build vet race race-server lint bench-smoke smoke-server smoke-restart smoke-vm chaos-smoke perfbench-check

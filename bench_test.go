@@ -6,6 +6,7 @@ package deadmembers_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"deadmembers/internal/bench"
@@ -232,17 +233,23 @@ func BenchmarkFrontend(b *testing.B) {
 	}
 }
 
+// BenchmarkCallGraphRTA measures RTA construction on jikes and on a
+// 3200-class generated program (the shape of BenchmarkAnalysisScaling).
 func BenchmarkCallGraphRTA(b *testing.B) {
-	r := frontend.Compile(jikesSource(b))
-	if err := r.Err(); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g := callgraph.Build(r.Program, r.Graph, callgraph.Options{Mode: callgraph.RTA})
-		if len(g.Reachable) == 0 {
-			b.Fatal("empty call graph")
+	large, _ := bench.Generate(scalingSpec(3200))
+	for _, src := range []frontend.Source{jikesSource(b), {Name: "classes=3200.mcc", Text: large}} {
+		r := frontend.Compile(src)
+		if err := r.Err(); err != nil {
+			b.Fatal(err)
 		}
+		b.Run(strings.TrimSuffix(src.Name, ".mcc"), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				g := callgraph.Build(r.Program, r.Graph, callgraph.Options{Mode: callgraph.RTA})
+				if len(g.Reachable) == 0 {
+					b.Fatal("empty call graph")
+				}
+			}
+		})
 	}
 }
 
@@ -268,21 +275,26 @@ func BenchmarkInterpRichards(b *testing.B) {
 	}
 }
 
+// scalingSpec is the generator setting of a scaling probe with the given
+// number of classes.
+func scalingSpec(classes int) bench.Spec {
+	return bench.Spec{
+		Name: "scale", Description: "scaling probe",
+		Classes: classes, UsedClasses: classes * 3 / 4,
+		Members: classes * 4, DeadPercent: 10,
+		Allocations: 10, RetainMod: 1, DeadHeavyClasses: 3,
+		Seed: uint64(classes),
+	}
+}
+
 // BenchmarkAnalysisScaling measures how analysis time grows with program
 // size. The paper's §3.4 argues the algorithm is effectively linear:
 // O(N + C×M) for N expressions, C classes, M distinct member names.
 // Compare ns/op across the sub-benchmarks: time per class should stay
 // near-constant.
 func BenchmarkAnalysisScaling(b *testing.B) {
-	for _, classes := range []int{25, 50, 100, 200, 400} {
-		spec := bench.Spec{
-			Name: "scale", Description: "scaling probe",
-			Classes: classes, UsedClasses: classes * 3 / 4,
-			Members: classes * 4, DeadPercent: 10,
-			Allocations: 10, RetainMod: 1, DeadHeavyClasses: 3,
-			Seed: uint64(classes),
-		}
-		src, _ := bench.Generate(spec)
+	for _, classes := range []int{25, 50, 100, 200, 400, 800, 1600, 3200} {
+		src, _ := bench.Generate(scalingSpec(classes))
 		r := frontend.Compile(frontend.Source{Name: "scale.mcc", Text: src})
 		if err := r.Err(); err != nil {
 			b.Fatal(err)
@@ -290,7 +302,9 @@ func BenchmarkAnalysisScaling(b *testing.B) {
 		b.Run(fmt.Sprintf("classes=%d", classes), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				res := deadmember.Analyze(r.Program, r.Graph, deadmember.Options{CallGraph: callgraph.RTA})
-				_ = res.Stats()
+				if res.Stats().Members == 0 {
+					b.Fatal("analysis saw no members")
+				}
 			}
 		})
 	}

@@ -11,6 +11,15 @@
 //
 // The paper's algorithm (Figure 2, line 5) only needs the set of reachable
 // functions; edges are additionally recorded for reporting and ablations.
+//
+// CHA and RTA resolve virtual dispatch through dispatch slots: one slot
+// per (static class, method name) pair called virtually, holding its
+// deduplicated callers and the targets resolved so far. A slot resolves
+// over the static class's subclasses once, when first called; under RTA a
+// newly instantiated class is then probed once per slot on itself or a
+// base, and only a target new to the slot fans out to the slot's callers.
+// Construction is therefore linear in call sites plus instantiated
+// classes times the slots on their bases, plus the edges it records.
 package callgraph
 
 import (
@@ -53,11 +62,16 @@ type Graph struct {
 	Reachable map[*types.Func]bool
 
 	// Edges records resolved call edges (caller -> callees), deduplicated.
+	// The order of each callee list is unspecified.
 	Edges map[*types.Func][]*types.Func
 
 	// Instantiated is the set of classes constructed in reachable code
 	// (for RTA this drives dispatch; for other modes it is informational).
 	Instantiated map[*types.Class]bool
+
+	// reachable is Reachable in ReachableFuncs order, sorted once by
+	// Build: graphs are shared read-only across goroutines.
+	reachable []*types.Func
 }
 
 // Options configures construction.
@@ -72,63 +86,109 @@ type Options struct {
 
 // Build constructs the call graph of prog under opts.
 func Build(prog *types.Program, h *hierarchy.Graph, opts Options) *Graph {
-	b := &builder{
+	return newBuilder(prog, h, opts.Mode).build(opts)
+}
+
+func newBuilder(prog *types.Program, h *hierarchy.Graph, mode Mode) *builder {
+	return &builder{
 		prog: prog,
 		h:    h,
 		info: prog.Info,
 		g: &Graph{
-			Mode:         opts.Mode,
+			Mode:         mode,
 			Reachable:    map[*types.Func]bool{},
 			Edges:        map[*types.Func][]*types.Func{},
 			Instantiated: map[*types.Class]bool{},
 		},
-		edgeSet: map[edge]bool{},
+		edgeSet:  map[edge]bool{},
+		slots:    map[slotKey]*slot{},
+		slotsOn:  map[*types.Class][]*slot{},
+		deleters: map[*types.Class]*funcSet{},
 	}
+}
 
+func (b *builder) build(opts Options) *Graph {
 	if opts.Mode == ALL {
-		for _, f := range prog.AllFuncs() {
+		for _, f := range b.prog.AllFuncs() {
 			if f.Body != nil {
 				b.g.Reachable[f] = true
 			}
 		}
-		for _, c := range prog.Classes {
+		for _, c := range b.prog.Classes {
 			b.g.Instantiated[c] = true
 		}
-		return b.g
+	} else {
+		// Global class-typed variables are constructed before main and
+		// destroyed after it: their constructors/destructors are roots.
+		for _, gv := range b.prog.Globals {
+			b.instantiateVarType(nil, gv.Type, b.info.VarCtors[gv.Decl], gv.Decl)
+		}
+		if b.prog.Main != nil {
+			b.addReachable(b.prog.Main)
+		}
+		for _, r := range opts.ExtraRoots {
+			b.addReachable(r)
+		}
+		b.run()
 	}
-
-	// Global class-typed variables are constructed before main and
-	// destroyed after it: their constructors/destructors are roots.
-	for _, gv := range prog.Globals {
-		b.instantiateVarType(nil, gv.Type, b.info.VarCtors[gv.Decl], gv.Decl)
-	}
-	if prog.Main != nil {
-		b.addReachable(prog.Main)
-	}
-	for _, r := range opts.ExtraRoots {
-		b.addReachable(r)
-	}
-	b.run()
+	b.g.reachable = sortedFuncs(b.g.Reachable)
 	return b.g
 }
 
 type edge struct{ from, to *types.Func }
 
-type virtualSite struct {
-	caller *types.Func
+// funcSet is an insertion-ordered set of functions.
+type funcSet struct {
+	list []*types.Func
+	has  map[*types.Func]bool
+}
+
+// add inserts f and reports whether it was new.
+func (s *funcSet) add(f *types.Func) bool {
+	if s.has[f] {
+		return false
+	}
+	if s.has == nil {
+		s.has = map[*types.Func]bool{}
+	}
+	s.has[f] = true
+	s.list = append(s.list, f)
+	return true
+}
+
+type slotKey struct {
 	static *types.Class
-	method *types.Func
+	name   string
+}
+
+// slot is the dispatch slot of virtual method name called through a
+// pointer of one static class. Every caller has an edge to every target.
+type slot struct {
+	name    string
+	callers funcSet
+	targets funcSet
 }
 
 type builder struct {
-	prog      *types.Program
-	h         *hierarchy.Graph
-	info      *types.Info
-	g         *Graph
-	work      []*types.Func
-	sites     []virtualSite
-	dtorSites []dtorSite
-	edgeSet   map[edge]bool
+	prog    *types.Program
+	h       *hierarchy.Graph
+	info    *types.Info
+	g       *Graph
+	work    []*types.Func
+	edgeSet map[edge]bool
+
+	// slots indexes dispatch slots by key; slotsOn lists them by static
+	// class for the instantiation walk.
+	slots   map[slotKey]*slot
+	slotsOn map[*types.Class][]*slot
+
+	// deleters holds, per static class, the callers of a virtually
+	// dispatched delete through a pointer to it.
+	deleters map[*types.Class]*funcSet
+
+	// dispatchWork counts Overrides probes and caller fan-outs, for the
+	// scaling test.
+	dispatchWork int
 }
 
 func (b *builder) addEdge(from, to *types.Func) {
@@ -166,8 +226,9 @@ func (b *builder) run() {
 	}
 }
 
-// instantiate marks cls as constructed and revisits recorded virtual call
-// sites, since a newly instantiated class can add dispatch targets.
+// instantiate marks cls as constructed. Under RTA it also dispatches cls
+// into the slots and deleters of itself and its bases, since a newly
+// instantiated class can add dispatch targets.
 func (b *builder) instantiate(caller *types.Func, cls *types.Class) {
 	if cls == nil || b.g.Instantiated[cls] {
 		return
@@ -182,21 +243,32 @@ func (b *builder) instantiate(caller *types.Func, cls *types.Class) {
 		b.instantiateFieldType(caller, fld.Type)
 	}
 	if b.g.Mode == RTA {
-		// Incremental re-resolution: only the newly instantiated class
-		// can contribute new dispatch targets, so check it against each
-		// recorded site instead of re-running full resolution (keeps RTA
-		// construction near-linear, as the paper's §3.4 expects).
-		for _, s := range b.sites {
-			if cls == s.static || b.h.IsBaseOf(s.static, cls) {
-				if target := b.h.Overrides(cls, s.method.Name); target != nil {
-					b.addEdge(s.caller, target)
-				}
-			}
+		b.dispatchInstance(cls, cls)
+		for _, base := range b.h.AllBases(cls) {
+			b.dispatchInstance(base, cls)
 		}
-		for _, ds := range b.dtorSites {
-			if cls == ds.static || b.h.IsBaseOf(ds.static, cls) {
-				b.destroy(ds.caller, cls)
-			}
+	}
+}
+
+// dispatchInstance adds the newly instantiated class cls as a receiver to
+// the slots and deleters of static, one of cls and its bases. Each slot
+// probes cls once; only a target new to the slot fans out to its callers.
+func (b *builder) dispatchInstance(static, cls *types.Class) {
+	for _, s := range b.slotsOn[static] {
+		b.dispatchWork++
+		target := b.h.Overrides(cls, s.name)
+		if target == nil || !s.targets.add(target) {
+			continue
+		}
+		for _, caller := range s.callers.list {
+			b.dispatchWork++
+			b.addEdge(caller, target)
+		}
+	}
+	if ds := b.deleters[static]; ds != nil {
+		for _, caller := range ds.list {
+			b.dispatchWork++
+			b.destroy(caller, cls)
 		}
 	}
 }
@@ -277,68 +349,66 @@ func (b *builder) destroy(caller *types.Func, cls *types.Class) {
 }
 
 // destroyDynamic handles `delete p` where p's static class may have
-// subclasses with virtual destructors.
+// subclasses with virtual destructors. A virtual delete registers caller
+// as a deleter of static once; later instantiations reach it through
+// dispatchInstance.
 func (b *builder) destroyDynamic(caller *types.Func, static *types.Class) {
-	d := static.Dtor()
-	virtual := d != nil && d.Virtual
-	if !virtual {
-		// Also virtual if any base declares a virtual dtor.
-		for bc := range allBaseSet(b.h, static) {
-			if bd := bc.Dtor(); bd != nil && bd.Virtual {
-				virtual = true
-				break
-			}
-		}
-	}
-	if !virtual {
+	if !b.virtualDtor(static) {
 		b.destroy(caller, static)
+		return
+	}
+	ds := b.deleters[static]
+	if ds == nil {
+		ds = &funcSet{}
+		b.deleters[static] = ds
+	}
+	if !ds.add(caller) {
 		return
 	}
 	for _, sub := range b.h.SubclassesOf(static) {
 		if b.g.Mode == RTA && !b.g.Instantiated[sub] {
 			continue
 		}
+		b.dispatchWork++
 		b.destroy(caller, sub)
 	}
-	if b.g.Mode == RTA {
-		// Re-resolution on later instantiation: record as virtual site on
-		// the destructor name by registering a synthetic site per subclass
-		// discovered later. Simplest correct approach: remember it.
-		b.dtorSites = append(b.dtorSites, dtorSite{caller, static})
+}
+
+// virtualDtor reports whether cls or any of its bases declares a virtual
+// destructor.
+func (b *builder) virtualDtor(cls *types.Class) bool {
+	if d := cls.Dtor(); d != nil && d.Virtual {
+		return true
 	}
-}
-
-type dtorSite struct {
-	caller *types.Func
-	static *types.Class
-}
-
-func allBaseSet(h *hierarchy.Graph, c *types.Class) map[*types.Class]bool {
-	set := map[*types.Class]bool{}
-	var walk func(x *types.Class)
-	walk = func(x *types.Class) {
-		for _, bs := range x.Bases {
-			if !set[bs.Class] {
-				set[bs.Class] = true
-				walk(bs.Class)
-			}
+	for _, bc := range b.h.AllBases(cls) {
+		if d := bc.Dtor(); d != nil && d.Virtual {
+			return true
 		}
 	}
-	walk(c)
-	return set
+	return false
 }
 
-// resolveVirtual adds edges for one virtual call site under the current
-// instantiated-class set.
-func (b *builder) resolveVirtual(s virtualSite) {
-	for _, sub := range b.h.SubclassesOf(s.static) {
+// slotOf returns the dispatch slot of name called through static,
+// creating it on first use. Creation resolves the slot's targets over the
+// subclasses of static that are instantiated (all of them under CHA).
+func (b *builder) slotOf(static *types.Class, name string) *slot {
+	key := slotKey{static, name}
+	if s := b.slots[key]; s != nil {
+		return s
+	}
+	s := &slot{name: name}
+	b.slots[key] = s
+	b.slotsOn[static] = append(b.slotsOn[static], s)
+	for _, sub := range b.h.SubclassesOf(static) {
 		if b.g.Mode == RTA && !b.g.Instantiated[sub] {
 			continue
 		}
-		if target := b.h.Overrides(sub, s.method.Name); target != nil {
-			b.addEdge(s.caller, target)
+		b.dispatchWork++
+		if target := b.h.Overrides(sub, name); target != nil {
+			s.targets.add(target)
 		}
 	}
+	return s
 }
 
 // scan walks the body (and constructor initializer list) of f, adding
@@ -519,24 +589,43 @@ func (b *builder) methodCall(caller *types.Func, static *types.Class, m *types.F
 		return
 	}
 	if m.Virtual && throughPointer && qual == "" {
-		s := virtualSite{caller: caller, static: static, method: m}
-		b.sites = append(b.sites, s)
-		b.resolveVirtual(s)
+		s := b.slotOf(static, m.Name)
+		if s.callers.add(caller) {
+			for _, target := range s.targets.list {
+				b.dispatchWork++
+				b.addEdge(caller, target)
+			}
+		}
 		return
 	}
 	b.addEdge(caller, m)
 }
 
 // ReachableFuncs returns the reachable functions sorted by qualified name,
-// for deterministic reporting.
-func (g *Graph) ReachableFuncs() []*types.Func {
-	out := make([]*types.Func, 0, len(g.Reachable))
-	for f := range g.Reachable {
-		out = append(out, f)
+// then declaration position (overloaded constructors share a name), for
+// deterministic reporting. The slice is computed once by Build and shared
+// by every caller: it is read-only.
+func (g *Graph) ReachableFuncs() []*types.Func { return g.reachable }
+
+func sortedFuncs(set map[*types.Func]bool) []*types.Func {
+	type keyed struct {
+		name string
+		f    *types.Func
 	}
-	sort.Slice(out, func(i, j int) bool {
-		return out[i].QualifiedName() < out[j].QualifiedName()
+	keys := make([]keyed, 0, len(set))
+	for f := range set {
+		keys = append(keys, keyed{f.QualifiedName(), f})
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].name != keys[j].name {
+			return keys[i].name < keys[j].name
+		}
+		return keys[i].f.Pos < keys[j].f.Pos
 	})
+	out := make([]*types.Func, len(keys))
+	for i, k := range keys {
+		out[i] = k.f
+	}
 	return out
 }
 

@@ -287,3 +287,29 @@ int main() {
 		t.Error("NotUsed should not be a used class")
 	}
 }
+
+func TestReachableFuncsOrdersOverloadsByPosition(t *testing.T) {
+	src := `
+class P {
+public:
+	int v;
+	P(int x) { v = x; }
+	P() { v = 0; }
+};
+int main() {
+	P a;
+	P b(1);
+	return a.v + b.v;
+}
+`
+	_, g := build(t, src, callgraph.RTA)
+	var ctors []*types.Func
+	for _, f := range g.ReachableFuncs() {
+		if f.QualifiedName() == "P::P" {
+			ctors = append(ctors, f)
+		}
+	}
+	if len(ctors) != 2 || ctors[0].Pos >= ctors[1].Pos || len(ctors[0].Params) != 1 {
+		t.Errorf("overloaded constructors must be ordered by declaration position: %v", ctors)
+	}
+}

@@ -334,7 +334,7 @@ func (a *analysis) libraryOverrideRoots() []*types.Func {
 			if !m.Virtual {
 				continue
 			}
-			for bc := range a.allBases(c) {
+			for _, bc := range a.h.AllBases(c) {
 				if a.res.library[bc] {
 					if bm := bc.MethodByName(m.Name); bm != nil && bm.Virtual {
 						roots = append(roots, m)
@@ -348,21 +348,6 @@ func (a *analysis) libraryOverrideRoots() []*types.Func {
 		return roots[i].QualifiedName() < roots[j].QualifiedName()
 	})
 	return roots
-}
-
-func (a *analysis) allBases(c *types.Class) map[*types.Class]bool {
-	set := map[*types.Class]bool{}
-	var walk func(*types.Class)
-	walk = func(x *types.Class) {
-		for _, b := range x.Bases {
-			if !set[b.Class] {
-				set[b.Class] = true
-				walk(b.Class)
-			}
-		}
-	}
-	walk(c)
-	return set
 }
 
 func (a *analysis) markLive(f *types.Field, why Reason, at source.Pos) {

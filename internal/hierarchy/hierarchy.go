@@ -29,6 +29,7 @@ type Graph struct {
 	// per allocated object, so they must be O(1) after first use for the
 	// whole analysis to stay near-linear (paper §3.4).
 	subclassesCache map[*types.Class][]*types.Class
+	basesCache      map[*types.Class][]*types.Class
 	vbasesCache     map[*types.Class][]*types.Class
 	overridesCache  map[lookupKey]*types.Func
 	polyCache       map[*types.Class]int8
@@ -47,6 +48,7 @@ func New(classes []*types.Class) *Graph {
 		allBases:        map[*types.Class]map[*types.Class]bool{},
 		layouts:         map[*types.Class]*Layout{},
 		subclassesCache: map[*types.Class][]*types.Class{},
+		basesCache:      map[*types.Class][]*types.Class{},
 		vbasesCache:     map[*types.Class][]*types.Class{},
 		overridesCache:  map[lookupKey]*types.Func{},
 		polyCache:       map[*types.Class]int8{},
@@ -79,6 +81,22 @@ func (g *Graph) Classes() []*types.Class { return g.classes }
 // class of derived. A class is not its own base.
 func (g *Graph) IsBaseOf(base, derived *types.Class) bool {
 	return g.allBases[derived][base]
+}
+
+// AllBases returns the transitive bases of c (virtual and non-virtual,
+// each once, excluding c itself), sorted by name. The result is memoized;
+// callers must not mutate it.
+func (g *Graph) AllBases(c *types.Class) []*types.Class {
+	if cached, ok := g.basesCache[c]; ok {
+		return cached
+	}
+	out := make([]*types.Class, 0, len(g.allBases[c]))
+	for b := range g.allBases[c] {
+		out = append(out, b)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	g.basesCache[c] = out
+	return out
 }
 
 // Related reports whether a and b are the same class or related by

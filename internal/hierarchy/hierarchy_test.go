@@ -101,6 +101,13 @@ func TestLookupSharedVirtualBase(t *testing.T) {
 	if vbs := g.VirtualBases(d); len(vbs) != 1 || vbs[0] != v {
 		t.Fatalf("VirtualBases(D) = %v", vbs)
 	}
+	// Each transitive base once, sorted by name: the shared V appears once.
+	if bs := g.AllBases(d); len(bs) != 3 || bs[0] != l || bs[1] != r || bs[2] != v {
+		t.Fatalf("AllBases(D) = %v, want [L R V]", bs)
+	}
+	if bs := g.AllBases(v); len(bs) != 0 {
+		t.Fatalf("AllBases(V) = %v, want none", bs)
+	}
 }
 
 func TestOverriders(t *testing.T) {
