@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build vet fmt-check lint test race race-server bench bench-vm fuzz serve smoke-server smoke-restart smoke-vm chaos-smoke perfbench-check bench-smoke check ci
+.PHONY: build vet fmt-check lint test race race-server bench bench-vm fuzz serve smoke-server smoke-restart smoke-vm chaos-smoke perfbench-check bench-smoke examples-smoke check ci
 
 build:
 	$(GO) build ./...
@@ -79,6 +79,11 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'CallGraphRTA|AnalysisScaling' -benchtime 1x .
 
+# Run every Go example program (each examples/*/main.go); a nonzero exit
+# fails the target. Their stdout is discarded, their stderr is not.
+examples-smoke:
+	for d in examples/*/main.go; do $(GO) run ./$$(dirname $$d) >/dev/null || exit 1; done
+
 # Engine throughput snapshot over the 10-50x large corpus: runs each
 # large benchmark to completion under both engines (the tree runs take
 # about a minute each — this is a benchmarking target, not a CI gate)
@@ -100,7 +105,7 @@ fuzz:
 
 # The quick local gate: build + static checks + tests + the engine
 # smoke. Slower CI-only passes (race soaks, server smokes) stay out.
-check: build vet fmt-check test bench-smoke perfbench-check smoke-vm
+check: build vet fmt-check test bench-smoke examples-smoke perfbench-check smoke-vm
 
 # What CI runs (see .github/workflows/ci.yml).
-ci: build vet race race-server lint bench-smoke smoke-server smoke-restart smoke-vm chaos-smoke perfbench-check
+ci: build vet race race-server lint bench-smoke examples-smoke smoke-server smoke-restart smoke-vm chaos-smoke perfbench-check

@@ -5,6 +5,7 @@
 package deadmembers_test
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -80,7 +81,7 @@ func BenchmarkTable2(b *testing.B) {
 // BenchmarkFigure4 measures deriving the Figure 4 percentages, including
 // the rendering, for the whole corpus.
 func BenchmarkFigure4(b *testing.B) {
-	results, err := report.CollectAll()
+	results, err := report.CollectAll(context.Background(), engine.NewSession(engine.Config{}), engine.EngineTree)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -129,7 +130,10 @@ func BenchmarkEngineSequentialVsParallel(b *testing.B) {
 					if err := c.Err(); err != nil {
 						b.Fatal(err)
 					}
-					res := c.Analyze(deadmember.Options{CallGraph: callgraph.RTA})
+					res, err := c.AnalyzeContext(context.Background(), deadmember.Options{CallGraph: callgraph.RTA})
+					if err != nil {
+						b.Fatal(err)
+					}
 					if s := res.Stats(); s.Members == 0 {
 						b.Fatal("no members")
 					}
@@ -170,12 +174,16 @@ func BenchmarkAblationCompileOnceVsRecompile(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			session := engine.NewSession(engine.Config{})
 			for _, bm := range bench.All() {
-				c := session.Compile(bm.Sources...)
+				c := session.CompileContext(context.Background(), bm.Sources...)
 				if err := c.Err(); err != nil {
 					b.Fatal(err)
 				}
 				for _, opts := range variants {
-					_ = c.Analyze(opts).Stats()
+					res, err := c.AnalyzeContext(context.Background(), opts)
+					if err != nil {
+						b.Fatal(err)
+					}
+					_ = res.Stats()
 				}
 			}
 		}

@@ -22,12 +22,10 @@ import (
 	"strings"
 	"time"
 
+	"deadmembers"
 	"deadmembers/internal/api"
 	"deadmembers/internal/buildinfo"
-	"deadmembers/internal/callgraph"
 	"deadmembers/internal/client"
-	"deadmembers/internal/deadmember"
-	"deadmembers/internal/engine"
 	"deadmembers/internal/lint"
 )
 
@@ -75,16 +73,16 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		fmt.Fprintf(stderr, "deadlint: unknown -format %q\n", *format)
 		return 2
 	}
-	opts := deadmember.Options{
+	opts := deadmembers.Options{
 		TrustDowncasts: *trustDowncasts,
 	}
 	switch strings.ToLower(*callgraphMode) {
 	case "rta":
-		opts.CallGraph = callgraph.RTA
+		opts.CallGraph = deadmembers.CallGraphRTA
 	case "cha":
-		opts.CallGraph = callgraph.CHA
+		opts.CallGraph = deadmembers.CallGraphCHA
 	case "all":
-		opts.CallGraph = callgraph.ALL
+		opts.CallGraph = deadmembers.CallGraphALL
 	default:
 		fmt.Fprintf(stderr, "deadlint: unknown -callgraph %q\n", *callgraphMode)
 		return 2
@@ -93,14 +91,14 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		opts.LibraryClasses = strings.Split(*libraries, ",")
 	}
 
-	var sources []engine.Source
+	var sources []deadmembers.Source
 	for _, path := range fs.Args() {
 		text, err := os.ReadFile(path)
 		if err != nil {
 			fmt.Fprintf(stderr, "deadlint: %v\n", err)
 			return 1
 		}
-		sources = append(sources, engine.Source{Name: path, Text: string(text)})
+		sources = append(sources, deadmembers.Source{Name: path, Text: string(text)})
 	}
 
 	ctx := context.Background()
@@ -140,22 +138,19 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		return 0
 	}
 
-	// One Session: repeated invocations with the same sources (service
-	// use, or multiple checks later) hit the compile-once cache.
-	sess := engine.NewSession(engine.Config{Workers: *parallel})
-	comp := sess.CompileContext(ctx, sources...)
-	if err := comp.Err(); err != nil {
+	comp, err := deadmembers.Compile(ctx, deadmembers.CompileConfig{Workers: *parallel}, sources...)
+	if err != nil {
 		fmt.Fprintf(stderr, "deadlint: %v\n", err)
 		return 1
 	}
-	res, timings, err := comp.LintContext(ctx, opts, lint.Options{Budget: *budget})
+	res, timings, err := comp.Lint(ctx, opts, deadmembers.LintOptions{Budget: *budget})
 	if err != nil {
 		fmt.Fprintf(stderr, "deadlint: %v\n", err)
 		return 1
 	}
 
 	degraded := comp.Degraded() || res.Degraded()
-	for _, f := range comp.Failures {
+	for _, f := range comp.Failures() {
 		fmt.Fprintf(stderr, "deadlint: degraded: %v\n", f)
 	}
 	for _, f := range res.Failures {

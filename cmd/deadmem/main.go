@@ -147,12 +147,12 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		return 0
 	}
 
-	comp, err := deadmembers.CompileWithContext(ctx, deadmembers.CompileConfig{Workers: *parallel}, sources...)
+	comp, err := deadmembers.Compile(ctx, deadmembers.CompileConfig{Workers: *parallel}, sources...)
 	if err != nil {
 		fmt.Fprintf(stderr, "deadmem: %v\n", err)
 		return 1
 	}
-	res, timings, err := comp.AnalyzeTimedContext(ctx, opts)
+	res, timings, err := comp.Analyze(ctx, opts)
 	if err != nil {
 		fmt.Fprintf(stderr, "deadmem: %v\n", err)
 		return 1

@@ -100,7 +100,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	// Compile once; the same compilation serves the verification run of
 	// the original program and the strip transform (which consumes it).
 	cfg := deadmembers.CompileConfig{Workers: *parallel}
-	comp, err := deadmembers.CompileWithContext(ctx, cfg, sources...)
+	comp, err := deadmembers.Compile(ctx, cfg, sources...)
 	if err != nil {
 		fmt.Fprintf(stderr, "deadstrip: %v\n", err)
 		return 1
@@ -119,16 +119,20 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	if *verify {
 		// Run the original before stripping: the transform rewrites the
 		// compiled syntax trees in place.
-		before, err = comp.RunContext(ctx)
+		before, err = comp.Run(ctx, deadmembers.Options{})
 		if err != nil {
 			fmt.Fprintf(stderr, "deadstrip: original does not run: %v\n", err)
 			return 1
 		}
 	}
 
-	out := comp.Strip(deadmembers.Options{}, deadmembers.StripOptions{
+	out, err := comp.Strip(ctx, deadmembers.Options{}, deadmembers.StripOptions{
 		KeepUnreachable: *keepUnreachable,
 	})
+	if err != nil {
+		fmt.Fprintf(stderr, "deadstrip: %v\n", err)
+		return 1
+	}
 
 	for _, m := range out.RemovedMembers {
 		fmt.Fprintf(stderr, "removed member   %s\n", m)
@@ -141,12 +145,12 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	}
 
 	if *verify {
-		stripped, err := deadmembers.CompileWithContext(ctx, cfg, out.Sources...)
+		stripped, err := deadmembers.Compile(ctx, cfg, out.Sources...)
 		if err != nil {
 			fmt.Fprintf(stderr, "deadstrip: stripped program does not compile: %v\n", err)
 			return 1
 		}
-		after, err := stripped.RunContext(ctx)
+		after, err := stripped.Run(ctx, deadmembers.Options{})
 		if err != nil {
 			fmt.Fprintf(stderr, "deadstrip: stripped program does not run: %v\n", err)
 			return 1

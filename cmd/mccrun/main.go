@@ -77,7 +77,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		defer cancel()
 	}
 
-	comp, err := deadmembers.CompileWithContext(ctx, deadmembers.CompileConfig{Workers: *parallel}, sources...)
+	comp, err := deadmembers.Compile(ctx, deadmembers.CompileConfig{Workers: *parallel}, sources...)
 	if err != nil {
 		fmt.Fprintf(stderr, "mccrun: %v\n", err)
 		return 1
@@ -86,8 +86,9 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		fmt.Fprintf(stderr, "mccrun: degraded: %v\n", f)
 	}
 
+	opts := deadmembers.Options{MaxSteps: *maxSteps, Engine: eng}
 	if *profile {
-		prof, err := comp.ProfileContext(ctx, deadmembers.Options{MaxSteps: *maxSteps, Engine: eng})
+		prof, err := comp.Profile(ctx, opts)
 		if err != nil {
 			fmt.Fprintf(stderr, "mccrun: %v\n", err)
 			return 1
@@ -114,7 +115,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		return prof.Exec.ExitCode
 	}
 
-	res, err := comp.RunContextEngine(ctx, eng)
+	res, err := comp.Run(ctx, opts)
 	if err != nil {
 		fmt.Fprintf(stderr, "mccrun: %v\n", err)
 		return 1

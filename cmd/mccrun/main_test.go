@@ -55,12 +55,18 @@ int main() {
 func TestMaxStepsFlag(t *testing.T) {
 	path := write(t, "loop.mcc", `
 int main() { int s = 0; for (int i = 0; i < 100000; i++) { s++; } return 0; }`)
-	var out, errOut strings.Builder
-	if code := run([]string{"-max-steps", "50", "-profile", path}, &out, &errOut); code != 1 {
-		t.Fatalf("step-limited run should exit 1, got %d", code)
-	}
-	if !strings.Contains(errOut.String(), "step limit") {
-		t.Errorf("stderr missing step-limit error:\n%s", errOut.String())
+	// The limit applies to plain runs as well as profiled ones.
+	for _, args := range [][]string{
+		{"-max-steps", "50", "-profile", path},
+		{"-max-steps", "50", path},
+	} {
+		var out, errOut strings.Builder
+		if code := run(args, &out, &errOut); code != 1 {
+			t.Fatalf("%v: step-limited run should exit 1, got %d", args, code)
+		}
+		if !strings.Contains(errOut.String(), "step limit exceeded (50)") {
+			t.Errorf("%v: stderr missing step-limit error:\n%s", args, errOut.String())
+		}
 	}
 }
 

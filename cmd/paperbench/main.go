@@ -108,7 +108,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		if *large {
 			corpus = bench.Large()
 		}
-		rows, err := report.CollectEnginesInContext(ctx, session, corpus)
+		rows, err := report.CollectEngines(ctx, session, corpus)
 		if err != nil {
 			fmt.Fprintf(stderr, "paperbench: %v\n", err)
 			return 1
@@ -132,7 +132,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		return 0
 	}
 
-	results, err := report.CollectAllInContextEngine(ctx, session, eng)
+	results, err := report.CollectAll(ctx, session, eng)
 	if err != nil {
 		fmt.Fprintf(stderr, "paperbench: %v\n", err)
 		return 1
@@ -157,7 +157,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		fmt.Fprint(stdout, report.CSV(results))
 	}
 	if all || *ablation {
-		rows, err := report.RunAblationsIn(session)
+		rows, err := report.RunAblations(ctx, session)
 		if err != nil {
 			fmt.Fprintf(stderr, "paperbench: %v\n", err)
 			return 1

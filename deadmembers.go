@@ -9,20 +9,22 @@
 // members occupy at run time.
 //
 // The pipeline is staged: Compile runs the frontend once and returns a
-// Compilation that can be analyzed, profiled, or stripped many times under
-// different Options without re-lexing, re-parsing, or re-typechecking:
+// Compilation that can be analyzed, linted, profiled, or run many times
+// under different Options without re-lexing, re-parsing, or
+// re-typechecking. Every operation takes a context first; its
+// cancellation or deadline bounds the whole stage:
 //
-//	comp, err := deadmembers.Compile(deadmembers.Source{Name: "app.mcc", Text: src})
-//	result := comp.Analyze(deadmembers.Options{})
+//	comp, err := deadmembers.Compile(ctx, deadmembers.CompileConfig{},
+//	    deadmembers.Source{Name: "app.mcc", Text: src})
+//	result, _, err := comp.Analyze(ctx, deadmembers.Options{})
 //	for _, f := range result.DeadMembers() {
 //	    fmt.Println(f.QualifiedName())
 //	}
-//	ablated := comp.Analyze(deadmembers.Options{WritesAreUses: true})
-//	profile, err := comp.Profile(deadmembers.Options{})
+//	ablated, _, err := comp.Analyze(ctx, deadmembers.Options{WritesAreUses: true})
+//	profile, err := comp.Profile(ctx, deadmembers.Options{})
 //	fmt.Println(profile.Ledger.DeadPercent())
 //
-// The one-shot helpers (Analyze, AnalyzeSource, ProfileProgram, Strip,
-// Run) remain as thin wrappers that compile and run a single stage.
+// Strip is the one operation that consumes its Compilation.
 //
 // The internal packages implement the full pipeline: lexer, parser, type
 // checker, class hierarchy (member lookup + object layout), call graphs
@@ -95,9 +97,9 @@ const (
 	SizeofConservative = deadmember.SizeofConservative
 )
 
-// Options configures analysis and profiling. The zero value reproduces the
-// paper's configuration: RTA call graph, sizeof ignored, delete/free
-// special case enabled, downcasts treated conservatively.
+// Options configures analysis, profiling, and execution. The zero value
+// reproduces the paper's configuration: RTA call graph, sizeof ignored,
+// delete/free special case enabled, downcasts treated conservatively.
 type Options struct {
 	// CallGraph selects the call-graph algorithm (default RTA).
 	CallGraph CallGraphMode
@@ -125,11 +127,12 @@ type Options struct {
 	// overriders become call-graph roots.
 	LibraryClasses []string
 
-	// MaxSteps bounds interpreter execution in ProfileProgram (0 = default).
+	// MaxSteps bounds interpreter execution in Profile and Run
+	// (0 = default).
 	MaxSteps int64
 
-	// Engine selects the execution engine for Profile/ProfileProgram
-	// (default EngineTree). The profile is byte-identical either way.
+	// Engine selects the execution engine for Profile and Run (default
+	// EngineTree). Output and profile are byte-identical either way.
 	Engine Engine
 }
 
@@ -185,7 +188,7 @@ type CompileConfig struct {
 }
 
 // Compilation is a compiled program: the reusable artifact of the
-// frontend stages. Analyze/Profile/Strip/Run execute the later pipeline
+// frontend stages. Analyze/Lint/Profile/Run/Strip execute the later pipeline
 // stages against it; compiling once and analyzing many times is the
 // intended idiom for sweeps and services.
 type Compilation struct {
@@ -194,24 +197,9 @@ type Compilation struct {
 
 // Compile runs the frontend (parallel lex/parse, then semantic analysis)
 // over the sources once, returning the reusable Compilation.
-func Compile(sources ...Source) (*Compilation, error) {
-	return CompileWith(CompileConfig{}, sources...)
-}
-
-// CompileWith is Compile under an explicit execution configuration.
-func CompileWith(cfg CompileConfig, sources ...Source) (*Compilation, error) {
-	return CompileWithContext(context.Background(), cfg, sources...)
-}
-
-// CompileContext is Compile under a context: cancellation or deadline
-// expiry aborts the frontend between work items and is reported as the
-// returned error.
-func CompileContext(ctx context.Context, sources ...Source) (*Compilation, error) {
-	return CompileWithContext(ctx, CompileConfig{}, sources...)
-}
-
-// CompileWithContext is CompileWith under a context.
-func CompileWithContext(ctx context.Context, cfg CompileConfig, sources ...Source) (*Compilation, error) {
+// Cancellation or deadline expiry aborts the frontend between work items
+// and is reported as the returned error.
+func Compile(ctx context.Context, cfg CompileConfig, sources ...Source) (*Compilation, error) {
 	c := engine.CompileContext(ctx, engine.Config{Workers: cfg.Workers}, sources...)
 	if err := c.Err(); err != nil {
 		return nil, err
@@ -228,84 +216,50 @@ func (c *Compilation) Degraded() bool { return c.eng.Degraded() }
 // deterministic order.
 func (c *Compilation) Failures() []*Failure { return c.eng.Failures }
 
-// Analyze runs the dead-data-member analysis. Repeated calls reuse the
-// compiled program (and the call graph, when only marking rules differ).
-func (c *Compilation) Analyze(opts Options) *Result {
-	return c.eng.Analyze(opts.analysisOptions())
-}
-
-// AnalyzeContext is Analyze under a context: cancellation is polled
-// between functions in the liveness pass and reported as the returned
-// error.
-func (c *Compilation) AnalyzeContext(ctx context.Context, opts Options) (*Result, error) {
-	return c.eng.AnalyzeContext(ctx, opts.analysisOptions())
-}
-
-// AnalyzeTimed is Analyze plus per-stage wall-clock timings (Parse/Sema
-// are the compilation's; CallGraph/Liveness are this call's).
-func (c *Compilation) AnalyzeTimed(opts Options) (*Result, Timings) {
-	return c.eng.AnalyzeTimed(opts.analysisOptions())
-}
-
-// AnalyzeTimedContext is AnalyzeTimed under a context.
-func (c *Compilation) AnalyzeTimedContext(ctx context.Context, opts Options) (*Result, Timings, error) {
+// Analyze runs the dead-data-member analysis, returning per-stage
+// wall-clock timings (Parse/Sema are the compilation's, CallGraph/Liveness
+// this call's). Repeated calls reuse the compiled program (and the call
+// graph, when only marking rules differ). Cancellation is polled between
+// functions in the liveness pass and reported as the returned error.
+func (c *Compilation) Analyze(ctx context.Context, opts Options) (*Result, Timings, error) {
 	return c.eng.AnalyzeTimedContext(ctx, opts.analysisOptions())
 }
 
 // Lint runs the flow-sensitive diagnostics — dead-store detection and
 // write-only-member corroboration — on top of the analysis, returning
-// findings sorted by (file, line, col, check).
-func (c *Compilation) Lint(opts Options, lopts LintOptions) *LintResult {
-	return c.eng.Lint(opts.analysisOptions(), lint.Options{Budget: lopts.Budget})
-}
-
-// LintContext is Lint under a context, with per-stage timings. An
+// findings sorted by (file, line, col, check) and per-stage timings. An
 // interrupted run returns the context's error and a nil result.
-func (c *Compilation) LintContext(ctx context.Context, opts Options, lopts LintOptions) (*LintResult, Timings, error) {
+func (c *Compilation) Lint(ctx context.Context, opts Options, lopts LintOptions) (*LintResult, Timings, error) {
 	return c.eng.LintContext(ctx, opts.analysisOptions(), lint.Options{Budget: lopts.Budget})
 }
 
-// Profile analyzes and then executes the program with an instrumented
-// heap, attributing bytes to the dead members found.
-func (c *Compilation) Profile(opts Options) (*Profile, error) {
-	return c.ProfileContext(context.Background(), opts)
-}
-
-// ProfileContext is Profile under a context: cancellation or deadline
-// expiry is polled at the interpreter's step boundary and aborts the run
-// with an error satisfying errors.Is(err, ctx.Err()).
-func (c *Compilation) ProfileContext(ctx context.Context, opts Options) (*Profile, error) {
+// Profile analyzes and then executes the program on opts.Engine with an
+// instrumented heap, attributing bytes to the dead members found.
+// Cancellation or deadline expiry is polled at the interpreter's step
+// boundary and aborts the run with an error satisfying
+// errors.Is(err, ctx.Err()).
+func (c *Compilation) Profile(ctx context.Context, opts Options) (*Profile, error) {
 	return c.eng.ProfileContextEngine(ctx, opts.analysisOptions(), dynprof.Options{MaxSteps: opts.MaxSteps}, opts.Engine)
 }
 
-// Run executes the program without instrumentation.
-func (c *Compilation) Run() (*ExecResult, error) {
-	return c.eng.Run()
-}
-
-// RunContext is Run under a context (see ProfileContext).
-func (c *Compilation) RunContext(ctx context.Context) (*ExecResult, error) {
-	return c.eng.RunContext(ctx)
-}
-
-// RunEngine executes the program without instrumentation on the
-// selected engine.
-func (c *Compilation) RunEngine(eng Engine) (*ExecResult, error) {
-	return c.RunContextEngine(context.Background(), eng)
-}
-
-// RunContextEngine is RunEngine under a context (see ProfileContext).
-func (c *Compilation) RunContextEngine(ctx context.Context, eng Engine) (*ExecResult, error) {
-	return c.eng.RunContextEngine(ctx, eng)
+// Run executes the program without instrumentation on opts.Engine,
+// bounded by opts.MaxSteps; the analysis options are ignored.
+// Cancellation behaves as in Profile.
+func (c *Compilation) Run(ctx context.Context, opts Options) (*ExecResult, error) {
+	return c.eng.Run(ctx, opts.Engine, opts.MaxSteps)
 }
 
 // Strip analyzes and removes the dead data members (and unreachable
-// functions) whose elimination is provably behaviour preserving. The
-// transform consumes the compilation (its syntax trees are rewritten in
-// place): do not call Analyze/Profile/Run on it afterwards — compile
-// StripResult.Sources instead.
-func (c *Compilation) Strip(opts Options, stripOpts StripOptions) *StripResult {
-	return c.eng.Strip(opts.analysisOptions(), stripOpts)
+// functions) whose elimination is provably behaviour preserving,
+// returning the transformed program — the space optimization the paper
+// proposes for "any optimizing compiler". The transform consumes the
+// compilation (its syntax trees are rewritten in place): do not call
+// Analyze/Profile/Run on it afterwards — compile StripResult.Sources
+// instead. A cancelled analysis returns the context's error and leaves
+// the compilation unconsumed; a panic in the transform is contained and
+// returned as an error.
+func (c *Compilation) Strip(ctx context.Context, opts Options, stripOpts StripOptions) (*StripResult, error) {
+	return c.eng.StripContext(ctx, opts.analysisOptions(), stripOpts)
 }
 
 // Timings returns the frontend stage durations of this compilation.
@@ -314,60 +268,9 @@ func (c *Compilation) Timings() Timings { return c.eng.Timings() }
 // Fingerprint returns the content hash identifying the compiled sources.
 func (c *Compilation) Fingerprint() string { return c.eng.Fingerprint }
 
-// Analyze compiles the sources and runs the dead-data-member analysis.
-func Analyze(opts Options, sources ...Source) (*Result, error) {
-	c, err := Compile(sources...)
-	if err != nil {
-		return nil, err
-	}
-	return c.Analyze(opts), nil
-}
-
-// AnalyzeSource analyzes a single source file.
-func AnalyzeSource(name, text string, opts Options) (*Result, error) {
-	return Analyze(opts, Source{Name: name, Text: text})
-}
-
-// ProfileProgram analyzes the sources and then executes the program with
-// an instrumented heap, attributing bytes to the dead members found.
-func ProfileProgram(opts Options, sources ...Source) (*Profile, error) {
-	c, err := Compile(sources...)
-	if err != nil {
-		return nil, err
-	}
-	return c.Profile(opts)
-}
-
-// ProfileSource profiles a single source file.
-func ProfileSource(name, text string, opts Options) (*Profile, error) {
-	return ProfileProgram(opts, Source{Name: name, Text: text})
-}
-
 // StripOptions configures the dead-member elimination transform.
 type StripOptions = strip.Options
 
 // StripResult reports what the transform removed (and what it refused to
 // remove, with reasons).
 type StripResult = strip.Result
-
-// Strip analyzes the sources and removes the dead data members (and
-// unreachable functions) whose elimination is provably behaviour
-// preserving, returning the transformed program — the space optimization
-// the paper proposes for "any optimizing compiler".
-func Strip(opts Options, stripOpts StripOptions, sources ...Source) (*StripResult, error) {
-	c, err := Compile(sources...)
-	if err != nil {
-		return nil, err
-	}
-	return c.Strip(opts, stripOpts), nil
-}
-
-// Run compiles and executes the sources without instrumentation,
-// returning the program's exit code and captured output.
-func Run(sources ...Source) (*ExecResult, error) {
-	c, err := Compile(sources...)
-	if err != nil {
-		return nil, err
-	}
-	return c.Run()
-}

@@ -1,6 +1,8 @@
 package deadmembers_test
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -24,11 +26,30 @@ int main() {
 }
 `
 
-func TestAnalyzeSourceDefaultsToRTA(t *testing.T) {
-	res, err := deadmembers.AnalyzeSource("api.mcc", apiExample, deadmembers.Options{})
+// compile compiles sources under a background context, failing the test
+// on a compile error.
+func compile(t testing.TB, sources ...deadmembers.Source) *deadmembers.Compilation {
+	t.Helper()
+	c, err := deadmembers.Compile(context.Background(), deadmembers.CompileConfig{}, sources...)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return c
+}
+
+// analyze compiles sources and runs the analysis under opts, failing the
+// test on any error.
+func analyze(t testing.TB, opts deadmembers.Options, sources ...deadmembers.Source) *deadmembers.Result {
+	t.Helper()
+	res, _, err := compile(t, sources...).Analyze(context.Background(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+func TestAnalyzeSourceDefaultsToRTA(t *testing.T) {
+	res := analyze(t, deadmembers.Options{}, deadmembers.Source{Name: "api.mcc", Text: apiExample})
 	if res.CallGraph.Mode.String() != "RTA" {
 		t.Fatalf("default call graph = %s, want RTA", res.CallGraph.Mode)
 	}
@@ -40,15 +61,16 @@ func TestAnalyzeSourceDefaultsToRTA(t *testing.T) {
 }
 
 func TestAnalyzeReportsCompileErrors(t *testing.T) {
-	_, err := deadmembers.AnalyzeSource("bad.mcc", "int main() { return x; }", deadmembers.Options{})
+	_, err := deadmembers.Compile(context.Background(), deadmembers.CompileConfig{},
+		deadmembers.Source{Name: "bad.mcc", Text: "int main() { return x; }"})
 	if err == nil || !strings.Contains(err.Error(), "undeclared identifier") {
 		t.Fatalf("want compile error, got %v", err)
 	}
 }
 
 func TestRunExecutes(t *testing.T) {
-	res, err := deadmembers.Run(deadmembers.Source{Name: "run.mcc", Text: `
-int main() { print("hi"); println(); return 7; }`})
+	res, err := compile(t, deadmembers.Source{Name: "run.mcc", Text: `
+int main() { print("hi"); println(); return 7; }`}).Run(context.Background(), deadmembers.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +97,7 @@ int main() {
 	return acc;
 }
 `
-	prof, err := deadmembers.ProfileSource("box.mcc", src, deadmembers.Options{})
+	prof, err := compile(t, deadmembers.Source{Name: "box.mcc", Text: src}).Profile(context.Background(), deadmembers.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,11 +136,7 @@ int main() {
 	return c.get();
 }
 `}
-	res, err := deadmembers.Analyze(deadmembers.Options{}, lib, app)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dead := res.DeadMembers()
+	dead := analyze(t, deadmembers.Options{}, lib, app).DeadMembers()
 	if len(dead) != 1 || dead[0].QualifiedName() != "Counter::spare" {
 		t.Fatalf("dead = %v, want [Counter::spare]", dead)
 	}
@@ -137,28 +155,46 @@ int main() {
 	return r.keep;
 }
 `}
-	out, err := deadmembers.Strip(deadmembers.Options{}, deadmembers.StripOptions{}, src)
+	ctx := context.Background()
+	comp := compile(t, src)
+	before, err := comp.Run(ctx, deadmembers.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := comp.Strip(ctx, deadmembers.Options{}, deadmembers.StripOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(out.RemovedMembers) != 1 || out.RemovedMembers[0] != "R::drop" {
 		t.Fatalf("removed = %v", out.RemovedMembers)
 	}
-	before, err := deadmembers.Run(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	after, err := deadmembers.Run(out.Sources...)
+	after, err := compile(t, out.Sources...).Run(ctx, deadmembers.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if before.ExitCode != after.ExitCode {
 		t.Fatal("behaviour changed")
 	}
-	// Compile errors propagate.
-	if _, err := deadmembers.Strip(deadmembers.Options{}, deadmembers.StripOptions{},
-		deadmembers.Source{Name: "bad.mcc", Text: "int main() { return y; }"}); err == nil {
-		t.Fatal("want compile error")
+}
+
+// TestStripCancelled: a context cancelled after Compile stops Strip in
+// its analysis with the context's error, before the transform touches
+// the compilation, so the compilation is still usable afterwards.
+func TestStripCancelled(t *testing.T) {
+	comp := compile(t, deadmembers.Source{Name: "s.mcc", Text: reuseExample})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	out, err := comp.Strip(ctx, deadmembers.Options{}, deadmembers.StripOptions{})
+	if !errors.Is(err, context.Canceled) || out != nil {
+		t.Fatalf("Strip on a cancelled context = %v, %v; want nil, context.Canceled", out, err)
+	}
+	// Not consumed: the same compilation still analyzes and strips.
+	res, _, err := comp.Analyze(context.Background(), deadmembers.Options{})
+	if err != nil || len(res.DeadMembers()) != 1 {
+		t.Fatalf("analysis after a cancelled Strip: %v, dead = %v", err, res.DeadMembers())
+	}
+	if out, err = comp.Strip(context.Background(), deadmembers.Options{}, deadmembers.StripOptions{}); err != nil || len(out.RemovedMembers) != 1 {
+		t.Fatalf("Strip after a cancelled Strip: %v, %+v", err, out)
 	}
 }
 
@@ -177,10 +213,7 @@ int main() { A x; A* p = &x; return p->f(); }
 	for _, mode := range []deadmembers.CallGraphMode{
 		deadmembers.CallGraphRTA, deadmembers.CallGraphCHA, deadmembers.CallGraphALL,
 	} {
-		res, err := deadmembers.AnalyzeSource("m.mcc", src, deadmembers.Options{CallGraph: mode})
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := analyze(t, deadmembers.Options{CallGraph: mode}, deadmembers.Source{Name: "m.mcc", Text: src})
 		if got := res.CallGraph.Mode.String(); got != [...]string{"RTA", "CHA", "ALL"}[mode] {
 			t.Errorf("mode %d mapped to %s", mode, got)
 		}
@@ -201,11 +234,12 @@ int main() {
 	return q->y;
 }
 `
-	conservative, err := deadmembers.AnalyzeSource("t.mcc", src, deadmembers.Options{})
+	comp := compile(t, deadmembers.Source{Name: "t.mcc", Text: src})
+	conservative, _, err := comp.Analyze(context.Background(), deadmembers.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	trusting, err := deadmembers.AnalyzeSource("t.mcc", src, deadmembers.Options{TrustDowncasts: true})
+	trusting, _, err := comp.Analyze(context.Background(), deadmembers.Options{TrustDowncasts: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,24 +270,28 @@ int main() {
 // several analyses under different options, a profile, and a run — with
 // no recompilation in between.
 func TestCompileReuse(t *testing.T) {
-	comp, err := deadmembers.Compile(deadmembers.Source{Name: "reuse.mcc", Text: reuseExample})
+	ctx := context.Background()
+	comp := compile(t, deadmembers.Source{Name: "reuse.mcc", Text: reuseExample})
+
+	res, _, err := comp.Analyze(ctx, deadmembers.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	res := comp.Analyze(deadmembers.Options{})
 	if dead := res.DeadMembers(); len(dead) != 1 || dead[0].QualifiedName() != "Box::wasted" {
 		t.Fatalf("dead = %v, want [Box::wasted]", dead)
 	}
 
 	// Same compilation, different options: writes-as-uses revives the
 	// write-only member.
-	res2 := comp.Analyze(deadmembers.Options{WritesAreUses: true})
+	res2, _, err := comp.Analyze(ctx, deadmembers.Options{WritesAreUses: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if dead := res2.DeadMembers(); len(dead) != 0 {
 		t.Fatalf("writes-as-uses left members dead: %v", dead)
 	}
 
-	prof, err := comp.Profile(deadmembers.Options{})
+	prof, err := comp.Profile(ctx, deadmembers.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +299,7 @@ func TestCompileReuse(t *testing.T) {
 		t.Fatalf("profile exit=%d deadbytes=%d, want 1/4", prof.Exec.ExitCode, prof.Ledger.DeadBytes)
 	}
 
-	exec, err := comp.Run()
+	exec, err := comp.Run(ctx, deadmembers.Options{})
 	if err != nil || exec.ExitCode != 1 {
 		t.Fatalf("run: %v result=%+v", err, exec)
 	}
@@ -276,26 +314,21 @@ func TestCompileReuse(t *testing.T) {
 	}
 
 	// Compile errors surface from Compile itself.
-	if _, err := deadmembers.Compile(deadmembers.Source{Name: "bad.mcc", Text: "int main() { return z; }"}); err == nil {
+	if _, err := deadmembers.Compile(ctx, deadmembers.CompileConfig{}, deadmembers.Source{Name: "bad.mcc", Text: "int main() { return z; }"}); err == nil {
 		t.Fatal("want compile error")
 	}
 }
 
 // TestWritesAreUsesOption checks the paper's §2 distinction end to end
-// through the one-shot API: under the default read-based definition the
+// through the public API: under the default read-based definition the
 // write-only member is dead; treating writes as uses revives it.
 func TestWritesAreUsesOption(t *testing.T) {
-	res, err := deadmembers.AnalyzeSource("w.mcc", reuseExample, deadmembers.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	src := deadmembers.Source{Name: "w.mcc", Text: reuseExample}
+	res := analyze(t, deadmembers.Options{}, src)
 	if len(res.DeadMembers()) != 1 {
 		t.Fatalf("default analysis should find Box::wasted dead, got %v", res.DeadMembers())
 	}
-	res, err = deadmembers.AnalyzeSource("w.mcc", reuseExample, deadmembers.Options{WritesAreUses: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res = analyze(t, deadmembers.Options{WritesAreUses: true}, src)
 	if len(res.DeadMembers()) != 0 {
 		t.Fatalf("WritesAreUses should leave nothing dead, got %v", res.DeadMembers())
 	}
@@ -306,13 +339,17 @@ func TestWritesAreUsesOption(t *testing.T) {
 func TestCompileWithWorkers(t *testing.T) {
 	var lists [2]string
 	for i, workers := range []int{1, 8} {
-		comp, err := deadmembers.CompileWith(deadmembers.CompileConfig{Workers: workers},
+		comp, err := deadmembers.Compile(context.Background(), deadmembers.CompileConfig{Workers: workers},
 			deadmembers.Source{Name: "reuse.mcc", Text: reuseExample})
 		if err != nil {
 			t.Fatal(err)
 		}
+		res, _, err := comp.Analyze(context.Background(), deadmembers.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
 		var names []string
-		for _, f := range comp.Analyze(deadmembers.Options{}).DeadMembers() {
+		for _, f := range res.DeadMembers() {
 			names = append(names, f.QualifiedName())
 		}
 		lists[i] = strings.Join(names, ",")

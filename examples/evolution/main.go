@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -70,6 +71,12 @@ int main() {
 `
 
 func main() {
+	ctx := context.Background()
+	comp, err := deadmembers.Compile(ctx, deadmembers.CompileConfig{},
+		deadmembers.Source{Name: "evolution.mcc", Text: program})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("dead members under each call-graph precision (paper §3.1):")
 	for _, mode := range []struct {
 		name string
@@ -79,8 +86,7 @@ func main() {
 		{"CHA (class hierarchy analysis)", deadmembers.CallGraphCHA},
 		{"RTA (rapid type analysis, the paper's setting)", deadmembers.CallGraphRTA},
 	} {
-		result, err := deadmembers.AnalyzeSource("evolution.mcc", program,
-			deadmembers.Options{CallGraph: mode.mode})
+		result, _, err := comp.Analyze(ctx, deadmembers.Options{CallGraph: mode.mode})
 		if err != nil {
 			log.Fatal(err)
 		}

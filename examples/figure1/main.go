@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -56,7 +57,13 @@ int main() {
 `
 
 func main() {
-	result, err := deadmembers.AnalyzeSource("figure1.mcc", program, deadmembers.Options{})
+	ctx := context.Background()
+	comp, err := deadmembers.Compile(ctx, deadmembers.CompileConfig{},
+		deadmembers.Source{Name: "figure1.mcc", Text: program})
+	if err != nil {
+		log.Fatal(err)
+	}
+	result, _, err := comp.Analyze(ctx, deadmembers.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -82,7 +89,7 @@ func main() {
 
 	// The program still runs — removing the dead members could not change
 	// this output.
-	exec, err := deadmembers.Run(deadmembers.Source{Name: "figure1.mcc", Text: program})
+	exec, err := comp.Run(ctx, deadmembers.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -84,7 +85,13 @@ int main() {
 `
 
 func main() {
-	result, err := deadmembers.AnalyzeSource("librarytrim.mcc", program, deadmembers.Options{})
+	ctx := context.Background()
+	comp, err := deadmembers.Compile(ctx, deadmembers.CompileConfig{},
+		deadmembers.Source{Name: "librarytrim.mcc", Text: program})
+	if err != nil {
+		log.Fatal(err)
+	}
+	result, _, err := comp.Analyze(ctx, deadmembers.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -99,7 +106,7 @@ func main() {
 	fmt.Println("   library-based benchmarks (taldict, simulate, hotwire)")
 
 	// How much object space would trimming save at run time?
-	profile, err := deadmembers.ProfileSource("librarytrim.mcc", program, deadmembers.Options{})
+	profile, err := comp.Profile(ctx, deadmembers.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

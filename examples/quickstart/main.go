@@ -3,6 +3,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -34,8 +35,16 @@ int main() {
 `
 
 func main() {
+	// Compile once; the analysis and the profile share the compilation.
+	ctx := context.Background()
+	comp, err := deadmembers.Compile(ctx, deadmembers.CompileConfig{},
+		deadmembers.Source{Name: "quickstart.mcc", Text: program})
+	if err != nil {
+		log.Fatal(err)
+	}
+
 	// Static analysis: which members are guaranteed dead?
-	result, err := deadmembers.AnalyzeSource("quickstart.mcc", program, deadmembers.Options{})
+	result, _, err := comp.Analyze(ctx, deadmembers.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -47,7 +56,7 @@ func main() {
 	fmt.Printf("=> %d of %d members dead (%.1f%%)\n\n", s.DeadMembers, s.Members, s.DeadPercent())
 
 	// Dynamic measurement: how many object bytes do they waste?
-	profile, err := deadmembers.ProfileSource("quickstart.mcc", program, deadmembers.Options{})
+	profile, err := comp.Profile(ctx, deadmembers.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -47,23 +48,33 @@ int main() {
 `
 
 func main() {
-	src := deadmembers.Source{Name: "particles.mcc", Text: program}
+	ctx := context.Background()
+	comp, err := deadmembers.Compile(ctx, deadmembers.CompileConfig{},
+		deadmembers.Source{Name: "particles.mcc", Text: program})
+	if err != nil {
+		log.Fatal(err)
+	}
 
-	before, err := deadmembers.ProfileSource(src.Name, src.Text, deadmembers.Options{})
+	// Profile before stripping: Strip rewrites the compilation in place.
+	before, err := comp.Profile(ctx, deadmembers.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("before: %d bytes of object space, %d dead (%.1f%%)\n",
 		before.Ledger.TotalBytes, before.Ledger.DeadBytes, before.Ledger.DeadPercent())
 
-	out, err := deadmembers.Strip(deadmembers.Options{}, deadmembers.StripOptions{}, src)
+	out, err := comp.Strip(ctx, deadmembers.Options{}, deadmembers.StripOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("removed members:   %v\n", out.RemovedMembers)
 	fmt.Printf("removed functions: %v\n", out.RemovedFunctions)
 
-	after, err := deadmembers.ProfileProgram(deadmembers.Options{}, out.Sources...)
+	stripped, err := deadmembers.Compile(ctx, deadmembers.CompileConfig{}, out.Sources...)
+	if err != nil {
+		log.Fatal(err)
+	}
+	after, err := stripped.Profile(ctx, deadmembers.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

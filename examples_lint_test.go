@@ -1,6 +1,7 @@
 package deadmembers_test
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -21,11 +22,11 @@ func lintExample(t *testing.T, name string) []string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	comp, err := deadmembers.Compile(deadmembers.Source{Name: name, Text: string(text)})
+	res, _, err := compile(t, deadmembers.Source{Name: name, Text: string(text)}).
+		Lint(context.Background(), deadmembers.Options{}, deadmembers.LintOptions{})
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	res := comp.Lint(deadmembers.Options{}, deadmembers.LintOptions{})
 	if res.Degraded() {
 		t.Fatalf("%s: degraded: %v", name, res.Failures)
 	}

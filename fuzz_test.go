@@ -1,6 +1,7 @@
 package deadmembers_test
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -38,7 +39,7 @@ func seedCorpus(f *testing.F) {
 
 func fuzzCompile(t *testing.T, text string) (*deadmembers.Compilation, bool) {
 	t.Helper()
-	c, err := deadmembers.Compile(deadmembers.Source{Name: "fuzz.mcc", Text: text})
+	c, err := deadmembers.Compile(context.Background(), deadmembers.CompileConfig{}, deadmembers.Source{Name: "fuzz.mcc", Text: text})
 	if err != nil {
 		return nil, false // rejected with diagnostics: fine
 	}
@@ -67,7 +68,10 @@ func FuzzAnalyze(f *testing.F) {
 			{CallGraph: deadmembers.CallGraphCHA, WritesAreUses: true},
 			{CallGraph: deadmembers.CallGraphALL, TrustDowncasts: true, NoDeleteSpecialCase: true},
 		} {
-			res := c.Analyze(opts)
+			res, _, err := c.Analyze(context.Background(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if res.Degraded() {
 				t.Fatalf("analysis degraded on plain source input: %v", res.Failures)
 			}
@@ -109,12 +113,19 @@ func FuzzCFG(f *testing.F) {
 		if !ok {
 			return
 		}
-		lres := c.Lint(deadmembers.Options{}, deadmembers.LintOptions{})
+		ctx := context.Background()
+		lres, _, err := c.Lint(ctx, deadmembers.Options{}, deadmembers.LintOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
 		if lres.Degraded() {
 			t.Fatalf("lint degraded on plain source input under the default budget: %v", lres.Failures)
 		}
 		// A starved budget must fail politely, function by function.
-		lres = c.Lint(deadmembers.Options{}, deadmembers.LintOptions{Budget: 1})
+		lres, _, err = c.Lint(ctx, deadmembers.Options{}, deadmembers.LintOptions{Budget: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, fl := range lres.Failures {
 			if fl.Stack != "budget" {
 				t.Fatalf("non-budget failure under Budget=1: %+v", fl)
@@ -126,18 +137,18 @@ func FuzzCFG(f *testing.F) {
 func FuzzStripRoundTrip(f *testing.F) {
 	seedCorpus(f)
 	f.Fuzz(func(t *testing.T, text string) {
-		if _, ok := fuzzCompile(t, text); !ok {
+		c, ok := fuzzCompile(t, text)
+		if !ok {
 			return
 		}
-		// Strip consumes its compilation, so let it compile its own.
-		out, err := deadmembers.Strip(deadmembers.Options{}, deadmembers.StripOptions{},
-			deadmembers.Source{Name: "fuzz.mcc", Text: text})
+		ctx := context.Background()
+		out, err := c.Strip(ctx, deadmembers.Options{}, deadmembers.StripOptions{})
 		if err != nil {
 			t.Fatalf("compiled program failed to strip: %v", err)
 		}
 		// The round-trip property: whatever the transform emits is a valid
 		// MC++ program — it reparses and rechecks with zero diagnostics.
-		if _, err := deadmembers.Compile(out.Sources...); err != nil {
+		if _, err := deadmembers.Compile(ctx, deadmembers.CompileConfig{}, out.Sources...); err != nil {
 			var b strings.Builder
 			for _, s := range out.Sources {
 				b.WriteString(s.Text)
@@ -165,8 +176,8 @@ func FuzzVMDifferential(f *testing.F) {
 		// instrumentation; both engines count statements identically, so
 		// the budget trips in lockstep.
 		const budget = 20_000
-		tree, terr := c.Profile(deadmembers.Options{MaxSteps: budget, Engine: deadmembers.EngineTree})
-		vm, verr := c.Profile(deadmembers.Options{MaxSteps: budget, Engine: deadmembers.EngineVM})
+		tree, terr := c.Profile(context.Background(), deadmembers.Options{MaxSteps: budget, Engine: deadmembers.EngineTree})
+		vm, verr := c.Profile(context.Background(), deadmembers.Options{MaxSteps: budget, Engine: deadmembers.EngineVM})
 		if (terr != nil) != (verr != nil) {
 			t.Fatalf("engines disagree on failure: tree=%v vm=%v", terr, verr)
 		}

@@ -92,14 +92,9 @@ func All() []*Benchmark {
 	return out
 }
 
-// Compile compiles the benchmark's sources in session s. The session
-// caches by content hash, so repeated calls — collection then ablation,
-// or a benchmark loop — run the frontend once per benchmark.
-func (b *Benchmark) Compile(s *engine.Session) (*engine.Compilation, error) {
-	return b.CompileContext(context.Background(), s)
-}
-
-// CompileContext is Compile under a context.
+// CompileContext compiles the benchmark's sources in session s. The
+// session caches by content hash, so repeated calls — collection then
+// ablation, or a benchmark loop — run the frontend once per benchmark.
 func (b *Benchmark) CompileContext(ctx context.Context, s *engine.Session) (*engine.Compilation, error) {
 	c := s.CompileContext(ctx, b.Sources...)
 	if err := c.Err(); err != nil {

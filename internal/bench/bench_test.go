@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"math"
 	"sort"
 	"sync"
@@ -31,12 +32,16 @@ func corpus(t *testing.T) []*corpusRun {
 	corpusOnce.Do(func() {
 		session := engine.NewSession(engine.Config{})
 		for _, b := range All() {
-			c, err := b.Compile(session)
+			c, err := b.CompileContext(context.Background(), session)
 			if err != nil {
 				corpusErr = err
 				return
 			}
-			res := c.Analyze(deadmember.Options{CallGraph: callgraph.RTA})
+			res, err := c.AnalyzeContext(context.Background(), deadmember.Options{CallGraph: callgraph.RTA})
+			if err != nil {
+				corpusErr = err
+				return
+			}
 			prof, err := dynprof.Run(res, dynprof.Options{})
 			if err != nil {
 				corpusErr = err

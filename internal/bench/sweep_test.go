@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -60,7 +61,10 @@ func TestRandomizedSpecSweep(t *testing.T) {
 		if err := c.Err(); err != nil {
 			t.Fatalf("case %d (seed %#x): generated program does not compile:\n%v", i, spec.Seed, err)
 		}
-		res := c.Analyze(deadmember.Options{CallGraph: callgraph.RTA})
+		res, err := c.AnalyzeContext(context.Background(), deadmember.Options{CallGraph: callgraph.RTA})
+		if err != nil {
+			t.Fatalf("case %d (seed %#x): %v", i, spec.Seed, err)
+		}
 
 		got := map[string]bool{}
 		for _, f := range res.DeadMembers() {

@@ -73,8 +73,8 @@ func TestParseWorkerPanicSalvage(t *testing.T) {
 	if err := clean.Err(); err != nil {
 		t.Fatalf("clean compile failed: %v", err)
 	}
-	got := renderResult(faulty.Analyze(rta))
-	want := renderResult(clean.Analyze(rta))
+	got := renderResult(analyze(t, faulty, rta))
+	want := renderResult(analyze(t, clean, rta))
 	if got != want {
 		t.Fatalf("salvaged analysis differs from clean run:\n got:\n%s\n want:\n%s", got, want)
 	}
@@ -86,7 +86,7 @@ func TestParseWorkerPanicSalvage(t *testing.T) {
 // classification matches a clean run.
 func TestLivenessShardPanicSalvage(t *testing.T) {
 	srcs := srcABC()
-	clean := engine.Compile(engine.Config{Workers: 4}, srcs...).Analyze(rta)
+	clean := analyze(t, engine.Compile(engine.Config{Workers: 4}, srcs...), rta)
 
 	cfg := engine.Config{Workers: 4, FuncFault: func(f *types.Func) {
 		if f.QualifiedName() == "Alpha::getA" {
@@ -94,7 +94,7 @@ func TestLivenessShardPanicSalvage(t *testing.T) {
 		}
 	}}
 	comp := engine.Compile(cfg, srcs...)
-	res := comp.Analyze(rta)
+	res := analyze(t, comp, rta)
 	if len(res.Failures) != 1 || res.Failures[0].Stage != "liveness" || res.Failures[0].Unit != "Alpha::getA" {
 		t.Fatalf("failures = %v, want one liveness failure for Alpha::getA", res.Failures)
 	}
@@ -129,7 +129,7 @@ int main() { int n = 0; while (true) { n = n + 1; } return n; }
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := comp.ProfileContext(ctx, rta, dynprof.Options{})
+	_, err := comp.ProfileContextEngine(ctx, rta, dynprof.Options{}, engine.EngineTree)
 	if err == nil {
 		t.Fatal("expected the deadline to abort the run")
 	}
@@ -166,7 +166,7 @@ func TestSessionDoesNotCachePoisonedCompiles(t *testing.T) {
 	if c := s.CompileContext(ctx, srcABC()...); c.CancelErr() == nil {
 		t.Fatal("expected a cancelled compile")
 	}
-	fresh := s.Compile(srcABC()...)
+	fresh := s.CompileContext(context.Background(), srcABC()...)
 	if fresh.CancelErr() != nil || fresh.Err() != nil {
 		t.Fatalf("recompile after cancellation failed: %v", fresh.Err())
 	}
@@ -180,10 +180,10 @@ func TestSessionDoesNotCachePoisonedCompiles(t *testing.T) {
 			panic("injected parse fault")
 		}
 	}})
-	if c := s2.Compile(srcABC()...); !c.Degraded() {
+	if c := s2.CompileContext(context.Background(), srcABC()...); !c.Degraded() {
 		t.Fatal("expected a degraded compile")
 	}
-	s2.Compile(srcABC()...)
+	s2.CompileContext(context.Background(), srcABC()...)
 	if st := s2.Stats(); st.Hits != 0 || st.Compiles != 2 {
 		t.Fatalf("stats = %+v, want 2 compiles and no hits (degraded never cached)", st)
 	}

@@ -32,11 +32,9 @@ import (
 	"deadmembers/internal/ast"
 	"deadmembers/internal/callgraph"
 	"deadmembers/internal/deadmember"
-	"deadmembers/internal/dynprof"
 	"deadmembers/internal/failure"
 	"deadmembers/internal/frontend"
 	"deadmembers/internal/hierarchy"
-	"deadmembers/internal/interp"
 	"deadmembers/internal/lint"
 	"deadmembers/internal/parser"
 	"deadmembers/internal/sema"
@@ -130,7 +128,7 @@ type Compilation struct {
 
 	cfg       Config
 	timings   Timings // Parse + Sema only
-	consumed  bool    // set by Strip: the ASTs were mutated
+	consumed  bool    // set by StripContext: the ASTs were mutated
 	cancelErr error   // context error that aborted Compile, if any
 
 	mu     sync.Mutex
@@ -363,35 +361,21 @@ func (c *Compilation) graphFor(opts deadmember.Options) (g *callgraph.Graph, cac
 	return g, false, took
 }
 
-// Analyze runs the dead-data-member analysis against the compilation.
-// Repeated calls under different Options reuse the frontend artifact (and
-// the call graph, when only marking rules differ).
-func (c *Compilation) Analyze(opts deadmember.Options) *deadmember.Result {
-	res, _ := c.AnalyzeTimed(opts)
-	return res
-}
-
-// AnalyzeTimed is Analyze plus the per-stage wall-clock timings of this
-// call (Parse/Sema are the compilation's, CallGraph/Liveness this run's).
-func (c *Compilation) AnalyzeTimed(opts deadmember.Options) (*deadmember.Result, Timings) {
-	res, t, _ := c.analyzeCtx(context.Background(), opts)
-	return res, t
-}
-
-// AnalyzeContext is Analyze under a context: cancellation is polled
-// between functions of the liveness pass, and an interrupted run returns
-// the context's error (the partial result must not be trusted).
+// AnalyzeContext runs the dead-data-member analysis against the
+// compilation. Repeated calls under different Options reuse the frontend
+// artifact (and the call graph, when only marking rules differ).
+// Cancellation is polled between functions of the liveness pass, and an
+// interrupted run returns the context's error (the partial result must
+// not be trusted).
 func (c *Compilation) AnalyzeContext(ctx context.Context, opts deadmember.Options) (*deadmember.Result, error) {
-	res, _, err := c.analyzeCtx(ctx, opts)
+	res, _, err := c.AnalyzeTimedContext(ctx, opts)
 	return res, err
 }
 
-// AnalyzeTimedContext is AnalyzeTimed under a context (see AnalyzeContext).
+// AnalyzeTimedContext is AnalyzeContext plus the per-stage wall-clock
+// timings of this call (Parse/Sema are the compilation's,
+// CallGraph/Liveness this run's).
 func (c *Compilation) AnalyzeTimedContext(ctx context.Context, opts deadmember.Options) (*deadmember.Result, Timings, error) {
-	return c.analyzeCtx(ctx, opts)
-}
-
-func (c *Compilation) analyzeCtx(ctx context.Context, opts deadmember.Options) (*deadmember.Result, Timings, error) {
 	t := c.timings
 	if err := ctx.Err(); err != nil {
 		return nil, t, err
@@ -414,20 +398,14 @@ func (c *Compilation) analyzeCtx(ctx context.Context, opts deadmember.Options) (
 	return res, t, nil
 }
 
-// Lint runs the flow-sensitive diagnostics (dead-store and
-// write-only-member checks) on top of a fresh analysis.
-func (c *Compilation) Lint(opts deadmember.Options, lopts lint.Options) *lint.Result {
-	res, _, _ := c.LintContext(context.Background(), opts, lopts)
-	return res
-}
-
-// LintContext is Lint under a context, returning the per-stage timings
-// of this call (Lint is the flow-sensitive pass's wall clock; a
-// repeated call with the same options is served from the
+// LintContext runs the flow-sensitive diagnostics (dead-store and
+// write-only-member checks) on top of a fresh analysis, returning the
+// per-stage timings of this call (Lint is the flow-sensitive pass's
+// wall clock; a repeated call with the same options is served from the
 // per-compilation cache and flagged LintCached). An interrupted run
 // returns the context's error and a nil result.
 func (c *Compilation) LintContext(ctx context.Context, opts deadmember.Options, lopts lint.Options) (*lint.Result, Timings, error) {
-	ar, t, err := c.analyzeCtx(ctx, opts)
+	ar, t, err := c.AnalyzeTimedContext(ctx, opts)
 	if err != nil {
 		return nil, t, err
 	}
@@ -485,51 +463,16 @@ func (c *Compilation) lintAnalyzed(ctx context.Context, ar *deadmember.Result, l
 	return res, took, false, nil
 }
 
-// Profile analyzes and then executes the program with an instrumented
-// heap, attributing bytes to the dead members found.
-func (c *Compilation) Profile(opts deadmember.Options, dopts dynprof.Options) (*dynprof.Profile, error) {
-	return c.ProfileContext(context.Background(), opts, dopts)
-}
-
-// ProfileContext is Profile under a context: the analysis polls it
-// between liveness functions and the instrumented execution polls it at
-// the interpreter's step boundary, so a deadline bounds the whole run.
-func (c *Compilation) ProfileContext(ctx context.Context, opts deadmember.Options, dopts dynprof.Options) (*dynprof.Profile, error) {
-	res, err := c.AnalyzeContext(ctx, opts)
-	if err != nil {
-		return nil, err
-	}
-	if dopts.Context == nil {
-		dopts.Context = ctx
-	}
-	return dynprof.Run(res, dopts)
-}
-
-// Run executes the program without instrumentation.
-func (c *Compilation) Run() (*interp.Result, error) {
-	return c.RunContext(context.Background())
-}
-
-// RunContext is Run under a context, polled at the interpreter's step
-// boundary. It uses the tree-walking engine; see RunContextEngine.
-func (c *Compilation) RunContext(ctx context.Context) (*interp.Result, error) {
-	return c.RunContextEngine(ctx, EngineTree)
-}
-
-// Strip analyzes and applies the dead-member elimination transform.
+// StripContext analyzes and applies the dead-member elimination
+// transform. The analysis polls ctx; a panic inside the transform itself
+// is contained and returned as an error.
 //
 // The transform consumes the compilation: it rewrites the ASTs in place
 // (see strip.Apply), so this compilation must not be analyzed or executed
 // afterwards — recompile Result.Sources instead. Session caches treat a
-// consumed compilation as evicted.
-func (c *Compilation) Strip(opts deadmember.Options, sopts strip.Options) *strip.Result {
-	res, _ := c.StripContext(context.Background(), opts, sopts)
-	return res
-}
-
-// StripContext is Strip under a context. The analysis polls ctx; a panic
-// inside the transform itself is contained and returned as an error (the
-// compilation is still consumed — its ASTs may be half-rewritten).
+// consumed compilation as evicted. A compilation whose analysis was
+// cancelled is not consumed; one whose transform panicked is (its ASTs
+// may be half-rewritten).
 func (c *Compilation) StripContext(ctx context.Context, opts deadmember.Options, sopts strip.Options) (*strip.Result, error) {
 	res, err := c.AnalyzeContext(ctx, opts)
 	if err != nil {
@@ -547,7 +490,7 @@ func (c *Compilation) StripContext(ctx context.Context, opts deadmember.Options,
 	return out, nil
 }
 
-// Consumed reports whether Strip has invalidated this compilation.
+// Consumed reports whether StripContext has invalidated this compilation.
 func (c *Compilation) Consumed() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()

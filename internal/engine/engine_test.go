@@ -1,6 +1,8 @@
 package engine_test
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"strings"
@@ -34,6 +36,17 @@ func renderResult(res *deadmember.Result) string {
 	return b.String()
 }
 
+// analyze runs the analysis under a background context, failing the
+// test on error.
+func analyze(t testing.TB, c *engine.Compilation, opts deadmember.Options) *deadmember.Result {
+	t.Helper()
+	res, err := c.AnalyzeContext(context.Background(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // TestParallelDeterminism is the engine's core guarantee: analysis of the
 // full corpus yields byte-identical dead-member lists, reasons, and
 // witnesses at GOMAXPROCS (and worker counts) 1, 4, and N — and a cached
@@ -51,11 +64,11 @@ func TestParallelDeterminism(t *testing.T) {
 				runtime.GOMAXPROCS(prev)
 				t.Fatalf("%s: %v", bm.Name, err)
 			}
-			got := renderResult(c.Analyze(deadmember.Options{CallGraph: callgraph.RTA}))
+			got := renderResult(analyze(t, c, deadmember.Options{CallGraph: callgraph.RTA}))
 
 			// A second analysis of the same compilation hits the cached
 			// call graph; it must equal the fresh one exactly.
-			again := renderResult(c.Analyze(deadmember.Options{CallGraph: callgraph.RTA}))
+			again := renderResult(analyze(t, c, deadmember.Options{CallGraph: callgraph.RTA}))
 			runtime.GOMAXPROCS(prev)
 			if got != again {
 				t.Fatalf("%s: cached re-analysis differs from fresh at %d workers", bm.Name, procs)
@@ -104,7 +117,7 @@ func TestParallelDeterminismAcrossOptions(t *testing.T) {
 			if err := c.Err(); err != nil {
 				t.Fatal(err)
 			}
-			got := renderResult(c.Analyze(opts))
+			got := renderResult(analyze(t, c, opts))
 			if want == "" {
 				want = got
 			} else if got != want {
@@ -121,8 +134,8 @@ func TestSessionCompileOnce(t *testing.T) {
 	s := engine.NewSession(engine.Config{})
 	src := frontend.Source{Name: "a.mcc", Text: "class A { public: int x; A() : x(1) {} }; int main() { A a; return 0; }"}
 
-	c1 := s.Compile(src)
-	c2 := s.Compile(src)
+	c1 := s.CompileContext(context.Background(), src)
+	c2 := s.CompileContext(context.Background(), src)
 	if c1 != c2 {
 		t.Fatal("identical sources should return the cached Compilation")
 	}
@@ -133,7 +146,7 @@ func TestSessionCompileOnce(t *testing.T) {
 	// A one-byte change is a different program.
 	src2 := src
 	src2.Text = strings.Replace(src.Text, "x(1)", "x(2)", 1)
-	c3 := s.Compile(src2)
+	c3 := s.CompileContext(context.Background(), src2)
 	if c3 == c1 {
 		t.Fatal("changed source must not hit the cache")
 	}
@@ -143,7 +156,7 @@ func TestSessionCompileOnce(t *testing.T) {
 
 	// A cached re-analysis equals a fresh, uncached one.
 	fresh := engine.Compile(engine.Config{}, src)
-	if renderResult(c1.Analyze(deadmember.Options{})) != renderResult(fresh.Analyze(deadmember.Options{})) {
+	if renderResult(analyze(t, c1, deadmember.Options{})) != renderResult(analyze(t, fresh, deadmember.Options{})) {
 		t.Fatal("cached compilation's analysis differs from a fresh compile")
 	}
 }
@@ -157,7 +170,7 @@ func TestCallGraphCacheKeysLibraryNames(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, libs := range [][]string{{"A\x00B"}, {"A", "B"}, {"A B"}} {
-		if _, timings := c.AnalyzeTimed(deadmember.Options{LibraryClasses: libs}); timings.CallGraphCached {
+		if _, timings, _ := c.AnalyzeTimedContext(context.Background(), deadmember.Options{LibraryClasses: libs}); timings.CallGraphCached {
 			t.Fatalf("library list %q served another list's call graph", libs)
 		}
 	}
@@ -171,15 +184,18 @@ func TestStripConsumesCompilation(t *testing.T) {
 class Box { public: int used; int unused; Box() : used(1), unused(2) {} };
 int main() { Box b; return b.used; }
 `}
-	c1 := s.Compile(src)
-	out := c1.Strip(deadmember.Options{}, strip.Options{})
+	c1 := s.CompileContext(context.Background(), src)
+	out, err := c1.StripContext(context.Background(), deadmember.Options{}, strip.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(out.RemovedMembers) != 1 || out.RemovedMembers[0] != "Box::unused" {
 		t.Fatalf("strip removed %v, want [Box::unused]", out.RemovedMembers)
 	}
 	if !c1.Consumed() {
 		t.Fatal("compilation should be consumed after Strip")
 	}
-	c2 := s.Compile(src)
+	c2 := s.CompileContext(context.Background(), src)
 	if c2 == c1 {
 		t.Fatal("session must recompile a consumed compilation")
 	}
@@ -187,9 +203,33 @@ int main() { Box b; return b.used; }
 		t.Fatalf("stats = %+v, want 2 compiles", st)
 	}
 	// The recompiled artifact still analyzes correctly.
-	res := c2.Analyze(deadmember.Options{})
+	res := analyze(t, c2, deadmember.Options{})
 	if got := len(res.DeadMembers()); got != 1 {
 		t.Fatalf("recompiled analysis found %d dead members, want 1", got)
+	}
+}
+
+// TestStripCancelledKeepsCompilation: a context cancelled after compile
+// stops StripContext in its analysis, before the transform runs, so the
+// compilation is not consumed and the session keeps serving it.
+func TestStripCancelledKeepsCompilation(t *testing.T) {
+	s := engine.NewSession(engine.Config{})
+	src := frontend.Source{Name: "s.mcc", Text: `
+class Box { public: int used; int unused; Box() : used(1), unused(2) {} };
+int main() { Box b; return b.used; }
+`}
+	c := s.CompileContext(context.Background(), src)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	out, err := c.StripContext(ctx, deadmember.Options{}, strip.Options{})
+	if !errors.Is(err, context.Canceled) || out != nil {
+		t.Fatalf("StripContext = %v, %v; want nil, context.Canceled", out, err)
+	}
+	if c.Consumed() {
+		t.Fatal("a cancelled strip must not consume the compilation")
+	}
+	if again := s.CompileContext(context.Background(), src); again != c {
+		t.Fatal("session must keep serving the unconsumed compilation")
 	}
 }
 
@@ -228,12 +268,12 @@ func TestMultiFileEngineCompile(t *testing.T) {
 	if err := c.Err(); err != nil {
 		t.Fatal(err)
 	}
-	res := c.Analyze(deadmember.Options{})
+	res := analyze(t, c, deadmember.Options{})
 	dead := res.DeadMembers()
 	if len(dead) != 1 || dead[0].QualifiedName() != "Vec::pad" {
 		t.Fatalf("dead = %v, want [Vec::pad]", dead)
 	}
-	if r, err := c.Run(); err != nil || r.ExitCode != 0 {
+	if r, err := c.Run(context.Background(), engine.EngineTree, 0); err != nil || r.ExitCode != 0 {
 		t.Fatalf("run: %v exit=%d", err, r.ExitCode)
 	}
 }

@@ -45,35 +45,43 @@ func ParseEngine(s string) (Engine, error) {
 	return EngineTree, fmt.Errorf("unknown engine %q (want tree or vm)", s)
 }
 
-// executorFor builds the Executor implementing eng for this compilation.
-// A fresh Executor per run: its inline caches bind Machine-specific
-// cells, so executors are never shared across runs.
-func (c *Compilation) executorFor(eng Engine) interp.Executor {
+// ExecutorFor builds the Executor implementing eng for this compilation
+// (nil for the tree engine), for callers driving interp or dynprof
+// directly. A fresh Executor per run: its inline caches bind
+// Machine-specific cells, so executors are never shared across runs.
+func (c *Compilation) ExecutorFor(eng Engine) interp.Executor {
 	if eng == EngineVM {
 		return vm.NewExecutor(c.Program, c.Hierarchy)
 	}
 	return nil
 }
 
-// ExecutorFor builds a fresh Executor implementing eng (nil for the
-// tree engine), for callers driving interp or dynprof directly.
-func (c *Compilation) ExecutorFor(eng Engine) interp.Executor {
-	return c.executorFor(eng)
-}
-
-// RunContextEngine executes the program on the selected engine.
-func (c *Compilation) RunContextEngine(ctx context.Context, eng Engine) (*interp.Result, error) {
+// Run executes the program without instrumentation on the selected
+// engine. The context is polled at the interpreter's step boundary;
+// maxSteps bounds executed statements (0 = the interpreter's default).
+func (c *Compilation) Run(ctx context.Context, eng Engine, maxSteps int64) (*interp.Result, error) {
 	return interp.Run(c.Program, c.Hierarchy, interp.Options{
 		Context:  ctx,
 		FileSet:  c.FileSet,
-		Executor: c.executorFor(eng),
+		Executor: c.ExecutorFor(eng),
+		MaxSteps: maxSteps,
 	})
 }
 
-// ProfileContextEngine is ProfileContext with an engine selection for
-// the instrumented execution.
+// ProfileContextEngine analyzes and then executes the program on the
+// selected engine with an instrumented heap, attributing bytes to the
+// dead members found. The analysis polls ctx between liveness functions
+// and the instrumented execution polls it at the interpreter's step
+// boundary, so a deadline bounds the whole run.
 func (c *Compilation) ProfileContextEngine(ctx context.Context, opts deadmember.Options, dopts dynprof.Options, eng Engine) (*dynprof.Profile, error) {
-	dopts.Executor = c.executorFor(eng)
+	res, err := c.AnalyzeContext(ctx, opts)
+	if err != nil {
+		return nil, err
+	}
+	if dopts.Context == nil {
+		dopts.Context = ctx
+	}
+	dopts.Executor = c.ExecutorFor(eng)
 	dopts.FileSet = c.FileSet
-	return c.ProfileContext(ctx, opts, dopts)
+	return dynprof.Run(res, dopts)
 }

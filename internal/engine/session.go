@@ -6,16 +6,16 @@ import (
 	"sync"
 )
 
-// Session is a compile-once cache: Compile returns the same Compilation
-// for byte-identical sources, so ablation sweeps, benchmark loops, and
-// verify-then-emit flows pay for the frontend exactly once per distinct
-// input. Sessions are safe for concurrent use.
+// Session is a compile-once cache: CompileContext returns the same
+// Compilation for byte-identical sources, so ablation sweeps, benchmark
+// loops, and verify-then-emit flows pay for the frontend exactly once per
+// distinct input. Sessions are safe for concurrent use.
 //
 // The cache is production-grade for long-running services (cmd/deadmemd):
 //
-//   - concurrent Compile calls for the same fingerprint are deduplicated
-//     (singleflight): one caller runs the frontend, the rest wait and
-//     share its artifact;
+//   - concurrent CompileContext calls for the same fingerprint are
+//     deduplicated (singleflight): one caller runs the frontend, the rest
+//     wait and share its artifact;
 //   - the cache is an LRU bounded by Limits — total retained source bytes
 //     and entry count — with least-recently-used entries evicted on
 //     insert (the default zero Limits keep it unbounded, the original
@@ -61,8 +61,8 @@ type inflightCompile struct {
 type Stats struct {
 	// Compiles is the number of frontend compiles performed (cache misses).
 	Compiles int
-	// Hits is the number of Compile calls served from the cache or from a
-	// deduplicated in-flight compile.
+	// Hits is the number of CompileContext calls served from the cache or
+	// from a deduplicated in-flight compile.
 	Hits int
 	// Evictions is the number of entries dropped to enforce Limits.
 	Evictions int
@@ -90,19 +90,15 @@ func NewBoundedSession(cfg Config, limits Limits) *Session {
 	}
 }
 
-// Compile returns the cached Compilation for sources, running the
+// CompileContext returns the cached Compilation for sources, running the
 // frontend only on the first sight of this exact content. Compilations
-// consumed by Strip are treated as evicted and recompiled.
-func (s *Session) Compile(sources ...Source) *Compilation {
-	return s.CompileContext(context.Background(), sources...)
-}
-
-// CompileContext is Compile under a context. Compiles that were cancelled
-// or degraded by a contained panic are returned to the caller but never
-// cached: the next request for the same content gets a fresh attempt
-// instead of a poisoned artifact. Concurrent calls for the same content
-// share one frontend run; a waiter whose own context is cancelled stops
-// waiting and returns a cancelled artifact of its own.
+// consumed by StripContext are treated as evicted and recompiled.
+// Compiles that were cancelled or degraded by a contained panic are
+// returned to the caller but never cached: the next request for the same
+// content gets a fresh attempt instead of a poisoned artifact.
+// Concurrent calls for the same content share one frontend run; a waiter
+// whose own context is cancelled stops waiting and returns a cancelled
+// artifact of its own.
 func (s *Session) CompileContext(ctx context.Context, sources ...Source) *Compilation {
 	key := fingerprint(sources)
 	for {

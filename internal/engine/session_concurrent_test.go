@@ -53,7 +53,7 @@ func TestSessionConcurrentCompile(t *testing.T) {
 			<-start
 			for r := 0; r < rounds; r++ {
 				src := program((g + r) % distinct)
-				c := s.Compile(src)
+				c := s.CompileContext(context.Background(), src)
 				if err := c.Err(); err != nil {
 					t.Errorf("goroutine %d round %d: %v", g, r, err)
 					return
@@ -96,18 +96,18 @@ func TestSessionBoundedEviction(t *testing.T) {
 	s := engine.NewBoundedSession(engine.Config{Workers: 1}, engine.Limits{MaxEntries: 2})
 	a, b, c := program(0), program(1), program(2)
 
-	s.Compile(a)
-	s.Compile(b)
-	s.Compile(a) // touch a: b becomes the LRU victim
-	s.Compile(c) // evicts b
+	s.CompileContext(context.Background(), a)
+	s.CompileContext(context.Background(), b)
+	s.CompileContext(context.Background(), a) // touch a: b becomes the LRU victim
+	s.CompileContext(context.Background(), c) // evicts b
 	if st := s.Stats(); st.Evictions != 1 || st.Entries != 2 {
 		t.Fatalf("after overflow: Evictions=%d Entries=%d, want 1, 2", st.Evictions, st.Entries)
 	}
-	s.Compile(a)
+	s.CompileContext(context.Background(), a)
 	if st := s.Stats(); st.Compiles != 3 {
 		t.Errorf("a should still be cached: Compiles=%d, want 3", st.Compiles)
 	}
-	s.Compile(b)
+	s.CompileContext(context.Background(), b)
 	if st := s.Stats(); st.Compiles != 4 {
 		t.Errorf("b should have been evicted: Compiles=%d, want 4", st.Compiles)
 	}
@@ -124,8 +124,8 @@ func TestSessionByteBound(t *testing.T) {
 	a, b := program(0), program(1)
 	s := engine.NewBoundedSession(engine.Config{Workers: 1},
 		engine.Limits{MaxBytes: sourcesCost(a) + sourcesCost(b) - 1})
-	s.Compile(a)
-	s.Compile(b) // pushes total past MaxBytes → a evicted
+	s.CompileContext(context.Background(), a)
+	s.CompileContext(context.Background(), b) // pushes total past MaxBytes → a evicted
 	st := s.Stats()
 	if st.Evictions != 1 || st.Entries != 1 || st.Bytes != sourcesCost(b) {
 		t.Fatalf("Evictions=%d Entries=%d Bytes=%d, want 1, 1, %d",
@@ -133,8 +133,8 @@ func TestSessionByteBound(t *testing.T) {
 	}
 
 	tiny := engine.NewBoundedSession(engine.Config{Workers: 1}, engine.Limits{MaxBytes: 1})
-	tiny.Compile(a)
-	tiny.Compile(a) // oversized entries are never cached: second call recompiles
+	tiny.CompileContext(context.Background(), a)
+	tiny.CompileContext(context.Background(), a) // oversized entries are never cached: second call recompiles
 	if st := tiny.Stats(); st.Compiles != 2 || st.Entries != 0 {
 		t.Errorf("oversized input: Compiles=%d Entries=%d, want 2, 0", st.Compiles, st.Entries)
 	}
@@ -154,7 +154,7 @@ func TestSessionWaiterCancellation(t *testing.T) {
 	src := program(7)
 
 	leaderDone := make(chan *engine.Compilation)
-	go func() { leaderDone <- s.Compile(src) }()
+	go func() { leaderDone <- s.CompileContext(context.Background(), src) }()
 
 	// Wait until the leader is inside the frontend, then join as a waiter
 	// with an already-doomed context.

@@ -1,6 +1,7 @@
 package report
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -34,25 +35,25 @@ type AblationRow struct {
 	Members int
 }
 
-// RunAblations analyzes every corpus benchmark under each variant.
-func RunAblations() ([]*AblationRow, error) {
-	return RunAblationsIn(engine.NewSession(engine.Config{}))
-}
-
-// RunAblationsIn runs the sweep against a shared engine session: each
-// benchmark is compiled exactly once (or not at all, if the session
-// already holds it from an earlier collection), and the four RTA-mode
-// variants share one cached call graph — only the liveness pass reruns.
-func RunAblationsIn(s *engine.Session) ([]*AblationRow, error) {
+// RunAblations analyzes every corpus benchmark under each variant
+// against a shared engine session: each benchmark is compiled exactly
+// once (or not at all, if the session already holds it from an earlier
+// collection), and the four RTA-mode variants share one cached call
+// graph — only the liveness pass reruns. Cancellation or deadline expiry
+// aborts the sweep with the context's error and no rows.
+func RunAblations(ctx context.Context, s *engine.Session) ([]*AblationRow, error) {
 	var out []*AblationRow
 	for _, b := range bench.All() {
-		c, err := b.Compile(s)
+		c, err := b.CompileContext(ctx, s)
 		if err != nil {
 			return nil, err
 		}
 		row := &AblationRow{Name: b.Name}
 		for _, v := range ablationVariants(row) {
-			res := c.Analyze(v.opts)
+			res, err := c.AnalyzeContext(ctx, v.opts)
+			if err != nil {
+				return nil, fmt.Errorf("%s: %w", b.Name, err)
+			}
 			st := res.Stats()
 			*v.dst = st.DeadMembers
 			row.Members = st.Members

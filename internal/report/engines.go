@@ -28,11 +28,11 @@ type EngineRow struct {
 	Note     string  `json:"note,omitempty"`
 }
 
-// CollectEnginesInContext runs each benchmark under both engines and
+// CollectEngines runs each benchmark under both engines and
 // returns the comparison rows. Failures (compile errors, runtime
 // divergence, cancellation mid-run) degrade the affected row; only
 // context cancellation aborts the sweep.
-func CollectEnginesInContext(ctx context.Context, s *engine.Session, benchmarks []*bench.Benchmark) ([]*EngineRow, error) {
+func CollectEngines(ctx context.Context, s *engine.Session, benchmarks []*bench.Benchmark) ([]*EngineRow, error) {
 	var out []*EngineRow
 	for _, b := range benchmarks {
 		row := collectEngineRow(ctx, s, b)
@@ -53,10 +53,10 @@ func collectEngineRow(ctx context.Context, s *engine.Session, b *bench.Benchmark
 		return row
 	}
 	treeStart := time.Now()
-	treeRes, treeErr := c.RunContextEngine(ctx, engine.EngineTree)
+	treeRes, treeErr := c.Run(ctx, engine.EngineTree, 0)
 	treeDur := time.Since(treeStart)
 	vmStart := time.Now()
-	vmRes, vmErr := c.RunContextEngine(ctx, engine.EngineVM)
+	vmRes, vmErr := c.Run(ctx, engine.EngineVM, 0)
 	vmDur := time.Since(vmStart)
 	switch {
 	case treeErr != nil || vmErr != nil:

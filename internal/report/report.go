@@ -60,31 +60,15 @@ type BenchmarkResult struct {
 	FailReason string
 }
 
-// Collect runs analysis and instrumented execution for one benchmark.
-func Collect(b *bench.Benchmark) (*BenchmarkResult, error) {
-	return CollectIn(engine.NewSession(engine.Config{}), b)
-}
-
-// CollectIn is Collect against a shared engine session: the benchmark's
-// frontend compile is cached, so a subsequent ablation sweep (or repeated
-// collection) reuses the same Compilation.
-func CollectIn(s *engine.Session, b *bench.Benchmark) (*BenchmarkResult, error) {
-	return CollectInContext(context.Background(), s, b)
-}
-
-// CollectInContext is CollectIn under a context: cancellation or deadline
-// expiry aborts the benchmark's pipeline between work items and is
-// reported as the returned error.
-func CollectInContext(ctx context.Context, s *engine.Session, b *bench.Benchmark) (*BenchmarkResult, error) {
-	return CollectInContextEngine(ctx, s, b, engine.EngineTree)
-}
-
-// CollectInContextEngine is CollectInContext with an execution-engine
-// selection for the instrumented run. The measurements are byte-identical
-// across engines (the VM shares the interpreter's runtime core); the knob
-// exists so the engine comparison exhibits and soaks can collect through
-// the VM end to end.
-func CollectInContextEngine(ctx context.Context, s *engine.Session, b *bench.Benchmark, eng engine.Engine) (*BenchmarkResult, error) {
+// Collect runs analysis, lint, and instrumented execution for one
+// benchmark against a shared engine session: the benchmark's frontend
+// compile is cached, so a subsequent ablation sweep (or repeated
+// collection) reuses the same Compilation. eng selects the execution
+// engine for the instrumented run; the measurements are byte-identical
+// across engines (the VM shares the interpreter's runtime core).
+// Cancellation or deadline expiry aborts the benchmark's pipeline between
+// work items and is reported as the returned error.
+func Collect(ctx context.Context, s *engine.Session, b *bench.Benchmark, eng engine.Engine) (*BenchmarkResult, error) {
 	c, err := b.CompileContext(ctx, s)
 	if err != nil {
 		return nil, err
@@ -157,32 +141,16 @@ func CollectInContextEngine(ctx context.Context, s *engine.Session, b *bench.Ben
 	return r, nil
 }
 
-// CollectAll measures the whole corpus in presentation order.
-func CollectAll() ([]*BenchmarkResult, error) {
-	return CollectAllIn(engine.NewSession(engine.Config{}))
-}
-
-// CollectAllIn measures the whole corpus against a shared engine session,
-// compiling each benchmark at most once per session.
-func CollectAllIn(s *engine.Session) ([]*BenchmarkResult, error) {
-	return CollectAllInContext(context.Background(), s)
-}
-
-// CollectAllInContext measures the whole corpus under a context. One
-// benchmark failing does not abandon the sweep: the failure becomes a
-// degraded stub row (zero measurements, FailReason set) and collection
-// continues with the next benchmark. Only cancellation aborts the sweep,
-// reported as the returned error.
-func CollectAllInContext(ctx context.Context, s *engine.Session) ([]*BenchmarkResult, error) {
-	return CollectAllInContextEngine(ctx, s, engine.EngineTree)
-}
-
-// CollectAllInContextEngine is CollectAllInContext with an
-// execution-engine selection (see CollectInContextEngine).
-func CollectAllInContextEngine(ctx context.Context, s *engine.Session, eng engine.Engine) ([]*BenchmarkResult, error) {
+// CollectAll measures the whole corpus in presentation order against a
+// shared engine session, compiling each benchmark at most once per
+// session. One benchmark failing does not abandon the sweep: the failure
+// becomes a degraded stub row (zero measurements, FailReason set) and
+// collection continues with the next benchmark. Only cancellation aborts
+// the sweep, reported as the returned error.
+func CollectAll(ctx context.Context, s *engine.Session, eng engine.Engine) ([]*BenchmarkResult, error) {
 	var out []*BenchmarkResult
 	for _, b := range bench.All() {
-		r, err := CollectInContextEngine(ctx, s, b, eng)
+		r, err := Collect(ctx, s, b, eng)
 		if err != nil {
 			if ctx.Err() != nil {
 				return nil, err

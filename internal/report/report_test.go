@@ -2,6 +2,7 @@ package report
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -21,7 +22,7 @@ var (
 func allResults(t *testing.T) []*BenchmarkResult {
 	t.Helper()
 	resultsOnce.Do(func() {
-		resultsAll, resultsErr = CollectAll()
+		resultsAll, resultsErr = CollectAll(context.Background(), engine.NewSession(engine.Config{}), engine.EngineTree)
 	})
 	if resultsErr != nil {
 		t.Fatalf("CollectAll: %v", resultsErr)
@@ -167,7 +168,7 @@ func TestCSVExport(t *testing.T) {
 }
 
 func TestAblations(t *testing.T) {
-	rows, err := RunAblations()
+	rows, err := RunAblations(context.Background(), engine.NewSession(engine.Config{}))
 	if err != nil {
 		t.Fatalf("RunAblations: %v", err)
 	}
@@ -223,9 +224,9 @@ func TestAblations(t *testing.T) {
 // with the pre-engine frontend path.
 func TestAblationSweepCompilesOncePerBenchmark(t *testing.T) {
 	s := engine.NewSession(engine.Config{})
-	rows, err := RunAblationsIn(s)
+	rows, err := RunAblations(context.Background(), s)
 	if err != nil {
-		t.Fatalf("RunAblationsIn: %v", err)
+		t.Fatalf("RunAblations: %v", err)
 	}
 	n := len(bench.All())
 	if st := s.Stats(); st.Compiles != n || st.Hits != 0 {
@@ -233,8 +234,8 @@ func TestAblationSweepCompilesOncePerBenchmark(t *testing.T) {
 	}
 
 	// A full result collection afterwards must not compile anything new.
-	if _, err := CollectAllIn(s); err != nil {
-		t.Fatalf("CollectAllIn: %v", err)
+	if _, err := CollectAll(context.Background(), s, engine.EngineTree); err != nil {
+		t.Fatalf("CollectAll: %v", err)
 	}
 	if st := s.Stats(); st.Compiles != n || st.Hits != n {
 		t.Fatalf("after collection stats = %+v, want still %d compiles and %d hits", st, n, n)
@@ -271,7 +272,7 @@ func TestSweepSurvivesDegradedBenchmark(t *testing.T) {
 			panic("injected parse fault")
 		}
 	}})
-	results, err := CollectAllInContext(context.Background(), s)
+	results, err := CollectAll(context.Background(), s, engine.EngineTree)
 	if err != nil {
 		t.Fatalf("sweep aborted: %v", err)
 	}
@@ -305,8 +306,28 @@ func TestSweepSurvivesDegradedBenchmark(t *testing.T) {
 func TestSweepAbortsOnCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := CollectAllInContext(ctx, engine.NewSession(engine.Config{})); err == nil {
+	if _, err := CollectAll(ctx, engine.NewSession(engine.Config{}), engine.EngineTree); err == nil {
 		t.Fatal("expected the cancelled sweep to report an error")
+	}
+}
+
+// TestAblationsAbortOnCancellation: the ablation sweep honours its
+// context in the analysis stage too, not only at compile time. The
+// session already holds every benchmark, so the cancelled sweep compiles
+// nothing and must stop in its first analysis with the context's error
+// and no rows.
+func TestAblationsAbortOnCancellation(t *testing.T) {
+	s := engine.NewSession(engine.Config{})
+	for _, b := range bench.All() {
+		if _, err := b.CompileContext(context.Background(), s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	rows, err := RunAblations(ctx, s)
+	if !errors.Is(err, context.Canceled) || rows != nil {
+		t.Fatalf("RunAblations on a cancelled context = %d rows, %v; want no rows and context.Canceled", len(rows), err)
 	}
 }
 
@@ -338,7 +359,7 @@ func TestCollectEnginesDegradesOnCompileError(t *testing.T) {
 		Name:    "broken",
 		Sources: []frontend.Source{{Name: "broken.mcc", Text: "int main() { return undeclared; }\n"}},
 	}
-	rows, err := CollectEnginesInContext(context.Background(),
+	rows, err := CollectEngines(context.Background(),
 		engine.NewSession(engine.Config{Workers: 1}), []*bench.Benchmark{broken})
 	if err != nil {
 		t.Fatal(err)

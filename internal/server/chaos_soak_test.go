@@ -62,13 +62,21 @@ int main() { C%d c; return c.used; }
 			t.Fatal(err)
 		}
 		req := &api.Request{Sources: []api.Source{{Name: name, Text: text}}}
+		res, err := comp.AnalyzeContext(context.Background(), deadmember.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
 		var abuf bytes.Buffer
-		if err := textreport.Write(&abuf, comp.Analyze(deadmember.Options{}), textreport.Options{}); err != nil {
+		if err := textreport.Write(&abuf, res, textreport.Options{}); err != nil {
 			t.Fatal(err)
 		}
 		jobs = append(jobs, job{"analyze", req, abuf.String()})
+		lres, _, err := comp.LintContext(context.Background(), deadmember.Options{}, lint.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
 		var lbuf bytes.Buffer
-		if err := lint.WriteText(&lbuf, comp.Lint(deadmember.Options{}, lint.Options{})); err != nil {
+		if err := lint.WriteText(&lbuf, lres); err != nil {
 			t.Fatal(err)
 		}
 		jobs = append(jobs, job{"lint", req, lbuf.String()})

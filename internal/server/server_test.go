@@ -73,8 +73,12 @@ func TestAnalyzeMatchesCLIRenderer(t *testing.T) {
 	if err := comp.Err(); err != nil {
 		t.Fatal(err)
 	}
+	res, err := comp.AnalyzeContext(context.Background(), deadmember.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var want bytes.Buffer
-	if err := textreport.Write(&want, comp.Analyze(deadmember.Options{}), textreport.Options{}); err != nil {
+	if err := textreport.Write(&want, res, textreport.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if body != want.String() {
@@ -141,7 +145,10 @@ func TestLintPrecisionMatchesCLIRenderer(t *testing.T) {
 	if err := comp.Err(); err != nil {
 		t.Fatal(err)
 	}
-	res := comp.Lint(deadmember.Options{}, lint.Options{})
+	res, _, err := comp.LintContext(context.Background(), deadmember.Options{}, lint.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(res.Findings) == 0 {
 		t.Fatal("fixture produced no findings; the comparison would be vacuous")
 	}
@@ -202,7 +209,10 @@ func TestLintFormats(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 
 	comp := engine.Compile(engine.Config{Workers: 1}, engine.Source{Name: "sample.mcc", Text: sample})
-	res := comp.Lint(deadmember.Options{}, lint.Options{})
+	res, _, err := comp.LintContext(context.Background(), deadmember.Options{}, lint.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	for _, tc := range []struct {
 		format      string
@@ -240,7 +250,10 @@ func TestStripEndpoint(t *testing.T) {
 	}
 
 	comp := engine.Compile(engine.Config{Workers: 1}, engine.Source{Name: "sample.mcc", Text: sample})
-	out := comp.Strip(deadmember.Options{}, strip.Options{})
+	out, err := comp.StripContext(context.Background(), deadmember.Options{}, strip.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var want bytes.Buffer
 	if err := strip.WriteSources(&want, out.Sources); err != nil {
 		t.Fatal(err)

@@ -32,8 +32,8 @@ func runBoth(t *testing.T, name, src string) *interp.Result {
 	t.Helper()
 	c := compile(t, name, src)
 	ctx := context.Background()
-	tres, terr := c.RunContextEngine(ctx, engine.EngineTree)
-	vres, verr := c.RunContextEngine(ctx, engine.EngineVM)
+	tres, terr := c.Run(ctx, engine.EngineTree, 0)
+	vres, verr := c.Run(ctx, engine.EngineVM, 0)
 	assertSameRun(t, name, tres, terr, vres, verr)
 	return vres
 }

@@ -1,6 +1,7 @@
 package deadmembers_test
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"sort"
@@ -50,7 +51,9 @@ func TestTestdataPrograms(t *testing.T) {
 		t.Run(tc.file, func(t *testing.T) {
 			src := readTestdata(t, tc.file)
 
-			res, err := deadmembers.AnalyzeSource(src.Name, src.Text, deadmembers.Options{})
+			ctx := context.Background()
+			comp := compile(t, src)
+			res, _, err := comp.Analyze(ctx, deadmembers.Options{})
 			if err != nil {
 				t.Fatalf("analyze: %v", err)
 			}
@@ -63,7 +66,7 @@ func TestTestdataPrograms(t *testing.T) {
 				t.Errorf("dead members = %v, want %v", dead, tc.wantDead)
 			}
 
-			exec, err := deadmembers.Run(src)
+			exec, err := comp.Run(ctx, deadmembers.Options{})
 			if err != nil {
 				t.Fatalf("run: %v", err)
 			}
@@ -81,14 +84,14 @@ func TestTestdataPrograms(t *testing.T) {
 
 			// Each testdata program must also survive the strip transform
 			// with identical behaviour.
-			out, err := deadmembers.Strip(deadmembers.Options{}, deadmembers.StripOptions{}, src)
+			out, err := comp.Strip(ctx, deadmembers.Options{}, deadmembers.StripOptions{})
 			if err != nil {
 				t.Fatalf("strip: %v", err)
 			}
 			if len(out.RemovedMembers) != len(tc.wantDead) {
 				t.Errorf("strip removed %v, want %d members", out.RemovedMembers, len(tc.wantDead))
 			}
-			after, err := deadmembers.Run(out.Sources...)
+			after, err := compile(t, out.Sources...).Run(ctx, deadmembers.Options{})
 			if err != nil {
 				t.Fatalf("stripped run: %v", err)
 			}
