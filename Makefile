@@ -42,7 +42,8 @@ serve:
 	bin/deadmemd -addr $(ADDR)
 
 # End-to-end smoke: start deadmemd, probe /healthz, and diff /v1/analyze
-# and /v1/lint responses against deadmem/deadlint stdout byte-for-byte.
+# (plain and with every report section), /v1/lint and /v1/strip
+# responses against deadmem, deadlint and deadstrip stdout byte-for-byte.
 smoke-server:
 	sh scripts/smoke_server.sh
 

@@ -15,7 +15,6 @@ import (
 	"deadmembers/internal/deadmember"
 	"deadmembers/internal/dynprof"
 	"deadmembers/internal/engine"
-	"deadmembers/internal/frontend"
 	"deadmembers/internal/lexer"
 	"deadmembers/internal/parser"
 	"deadmembers/internal/report"
@@ -29,11 +28,11 @@ func BenchmarkTable1(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, bm := range corpus {
-			r := frontend.Compile(bm.Sources...)
+			r := engine.Compile(engine.Config{Workers: 1}, bm.Sources...)
 			if err := r.Err(); err != nil {
 				b.Fatal(err)
 			}
-			res := deadmember.Analyze(r.Program, r.Graph, deadmember.Options{CallGraph: callgraph.RTA})
+			res := deadmember.Analyze(r.Program, r.Hierarchy, deadmember.Options{CallGraph: callgraph.RTA})
 			if s := res.Stats(); s.Members == 0 {
 				b.Fatal("no members")
 			}
@@ -45,13 +44,13 @@ func BenchmarkTable1(b *testing.B) {
 // proper) per corpus benchmark, excluding frontend time.
 func BenchmarkFigure3(b *testing.B) {
 	for _, bm := range bench.All() {
-		r := frontend.Compile(bm.Sources...)
+		r := engine.Compile(engine.Config{Workers: 1}, bm.Sources...)
 		if err := r.Err(); err != nil {
 			b.Fatal(err)
 		}
 		b.Run(bm.Name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res := deadmember.Analyze(r.Program, r.Graph, deadmember.Options{CallGraph: callgraph.RTA})
+				res := deadmember.Analyze(r.Program, r.Hierarchy, deadmember.Options{CallGraph: callgraph.RTA})
 				_ = res.Stats()
 			}
 		})
@@ -63,11 +62,11 @@ func BenchmarkFigure3(b *testing.B) {
 // row.
 func BenchmarkTable2(b *testing.B) {
 	for _, bm := range bench.All() {
-		r := frontend.Compile(bm.Sources...)
+		r := engine.Compile(engine.Config{Workers: 1}, bm.Sources...)
 		if err := r.Err(); err != nil {
 			b.Fatal(err)
 		}
-		res := deadmember.Analyze(r.Program, r.Graph, deadmember.Options{CallGraph: callgraph.RTA})
+		res := deadmember.Analyze(r.Program, r.Hierarchy, deadmember.Options{CallGraph: callgraph.RTA})
 		b.Run(bm.Name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := dynprof.Run(res, dynprof.Options{}); err != nil {
@@ -100,14 +99,14 @@ func BenchmarkAblationCallGraph(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	r := frontend.Compile(bm.Sources...)
+	r := engine.Compile(engine.Config{Workers: 1}, bm.Sources...)
 	if err := r.Err(); err != nil {
 		b.Fatal(err)
 	}
 	for _, mode := range []callgraph.Mode{callgraph.ALL, callgraph.CHA, callgraph.RTA} {
 		b.Run(mode.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res := deadmember.Analyze(r.Program, r.Graph, deadmember.Options{CallGraph: mode})
+				res := deadmember.Analyze(r.Program, r.Hierarchy, deadmember.Options{CallGraph: mode})
 				_ = res.Stats()
 			}
 		})
@@ -161,11 +160,11 @@ func BenchmarkAblationCompileOnceVsRecompile(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, bm := range bench.All() {
 				for _, opts := range variants {
-					r := frontend.Compile(bm.Sources...)
+					r := engine.Compile(engine.Config{Workers: 1}, bm.Sources...)
 					if err := r.Err(); err != nil {
 						b.Fatal(err)
 					}
-					_ = deadmember.Analyze(r.Program, r.Graph, opts).Stats()
+					_ = deadmember.Analyze(r.Program, r.Hierarchy, opts).Stats()
 				}
 			}
 		}
@@ -193,7 +192,7 @@ func BenchmarkAblationCompileOnceVsRecompile(b *testing.B) {
 // ---------------------------------------------------------------------------
 // Pipeline-stage micro-benchmarks
 
-func jikesSource(b *testing.B) frontend.Source {
+func jikesSource(b *testing.B) engine.Source {
 	b.Helper()
 	bm, err := bench.ByName("jikes")
 	if err != nil {
@@ -234,7 +233,7 @@ func BenchmarkFrontend(b *testing.B) {
 	src := jikesSource(b)
 	b.SetBytes(int64(len(src.Text)))
 	for i := 0; i < b.N; i++ {
-		r := frontend.Compile(src)
+		r := engine.Compile(engine.Config{Workers: 1}, src)
 		if err := r.Err(); err != nil {
 			b.Fatal(err)
 		}
@@ -245,14 +244,14 @@ func BenchmarkFrontend(b *testing.B) {
 // 3200-class generated program (the shape of BenchmarkAnalysisScaling).
 func BenchmarkCallGraphRTA(b *testing.B) {
 	large, _ := bench.Generate(scalingSpec(3200))
-	for _, src := range []frontend.Source{jikesSource(b), {Name: "classes=3200.mcc", Text: large}} {
-		r := frontend.Compile(src)
+	for _, src := range []engine.Source{jikesSource(b), {Name: "classes=3200.mcc", Text: large}} {
+		r := engine.Compile(engine.Config{Workers: 1}, src)
 		if err := r.Err(); err != nil {
 			b.Fatal(err)
 		}
 		b.Run(strings.TrimSuffix(src.Name, ".mcc"), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				g := callgraph.Build(r.Program, r.Graph, callgraph.Options{Mode: callgraph.RTA})
+				g := callgraph.Build(r.Program, r.Hierarchy, callgraph.Options{Mode: callgraph.RTA})
 				if len(g.Reachable) == 0 {
 					b.Fatal("empty call graph")
 				}
@@ -266,11 +265,11 @@ func BenchmarkInterpRichards(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	r := frontend.Compile(bm.Sources...)
+	r := engine.Compile(engine.Config{Workers: 1}, bm.Sources...)
 	if err := r.Err(); err != nil {
 		b.Fatal(err)
 	}
-	res := deadmember.Analyze(r.Program, r.Graph, deadmember.Options{CallGraph: callgraph.RTA})
+	res := deadmember.Analyze(r.Program, r.Hierarchy, deadmember.Options{CallGraph: callgraph.RTA})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		prof, err := dynprof.Run(res, dynprof.Options{})
@@ -303,13 +302,13 @@ func scalingSpec(classes int) bench.Spec {
 func BenchmarkAnalysisScaling(b *testing.B) {
 	for _, classes := range []int{25, 50, 100, 200, 400, 800, 1600, 3200} {
 		src, _ := bench.Generate(scalingSpec(classes))
-		r := frontend.Compile(frontend.Source{Name: "scale.mcc", Text: src})
+		r := engine.Compile(engine.Config{Workers: 1}, engine.Source{Name: "scale.mcc", Text: src})
 		if err := r.Err(); err != nil {
 			b.Fatal(err)
 		}
 		b.Run(fmt.Sprintf("classes=%d", classes), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res := deadmember.Analyze(r.Program, r.Graph, deadmember.Options{CallGraph: callgraph.RTA})
+				res := deadmember.Analyze(r.Program, r.Hierarchy, deadmember.Options{CallGraph: callgraph.RTA})
 				if res.Stats().Members == 0 {
 					b.Fatal("analysis saw no members")
 				}

@@ -4,14 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
-
-	"deadmembers/internal/server"
 )
 
 func examples(t *testing.T) []string {
@@ -96,8 +93,10 @@ func TestUsageErrors(t *testing.T) {
 	if code, _, _ := runCLI(t, "-callgraph", "magic", "x.mcc"); code != 2 {
 		t.Errorf("bad callgraph: exit = %d, want 2", code)
 	}
-	if code, _, errw := runCLI(t, "-precision=flow", "x.mcc"); code != 2 || !strings.Contains(errw, "-precision") {
-		t.Errorf("-precision: exit = %d, stderr %q", code, errw)
+	for _, removed := range []string{"-precision", "-server", "-retries"} {
+		if code, _, errw := runCLI(t, removed+"=1", "x.mcc"); code != 2 || !strings.Contains(errw, removed) {
+			t.Errorf("%s: exit = %d, stderr %q", removed, code, errw)
+		}
 	}
 }
 
@@ -177,32 +176,5 @@ func TestBudgetDegradesExitCode(t *testing.T) {
 	}
 	if !strings.Contains(errw, "RESULT DEGRADED") {
 		t.Errorf("missing degraded banner:\n%s", errw)
-	}
-}
-
-// TestServerModeMatchesLocal: -server routes the lint through deadmemd
-// and the stdout must be byte-identical to a local run, per format.
-func TestServerModeMatchesLocal(t *testing.T) {
-	path := filepath.Join("..", "..", "examples", "mcc", "overwrite.mcc")
-	srv, err := server.New(server.Config{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	for _, format := range []string{"text", "json", "sarif"} {
-		localCode, local, localErr := runCLI(t, "-format", format, path)
-		if localCode != 0 {
-			t.Fatalf("%s local: exit %d, stderr: %s", format, localCode, localErr)
-		}
-		remoteCode, remote, remoteErr := runCLI(t, "-format", format, "-server", ts.URL, path)
-		if remoteCode != 0 {
-			t.Fatalf("%s remote: exit %d, stderr: %s", format, remoteCode, remoteErr)
-		}
-		if remote != local {
-			t.Errorf("%s: remote output diverges from local:\n--- remote ---\n%s--- local ---\n%s",
-				format, remote, local)
-		}
 	}
 }

@@ -19,9 +19,7 @@ import (
 	"strings"
 
 	"deadmembers"
-	"deadmembers/internal/api"
 	"deadmembers/internal/buildinfo"
-	"deadmembers/internal/client"
 	"deadmembers/internal/textreport"
 )
 
@@ -51,8 +49,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		parallel       = fs.Int("parallel", 0, "worker count for the parse and liveness stages (0 = all cores, 1 = sequential)")
 		perClass       = fs.Bool("classes", false, "print a per-class breakdown (IDE-feedback view)")
 		unreachable    = fs.Bool("unreachable", false, "also list unreachable functions")
-		serverURL      = fs.String("server", "", "deadmemd base URL (e.g. http://127.0.0.1:8100): run the analysis remotely; output is byte-identical to a local run")
-		retries        = fs.Int("retries", 0, "max attempts per remote call, with backoff (0 = client default; needs -server)")
 		showVersion    = fs.Bool("version", false, "print version and exit")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -111,40 +107,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
-	}
-
-	if *serverURL != "" {
-		req := &api.Request{
-			Options: api.Options{
-				CallGraph:      strings.ToLower(*callgraphMode),
-				Sizeof:         strings.ToLower(*sizeofPolicy),
-				NoDeleteRule:   *noDeleteRule,
-				TrustDowncasts: *trustDowncasts,
-				WritesAreUses:  *writesAreUses,
-				Library:        opts.LibraryClasses,
-			},
-			Verbose:     *verbose,
-			Classes:     *perClass,
-			Unreachable: *unreachable,
-		}
-		for _, s := range sources {
-			req.Sources = append(req.Sources, api.Source{Name: s.Name, Text: s.Text})
-		}
-		cl := client.New(client.Config{BaseURL: *serverURL, MaxAttempts: *retries})
-		res, err := cl.Analyze(ctx, req)
-		if err != nil {
-			fmt.Fprintf(stderr, "deadmem: %v\n", err)
-			return 1
-		}
-		if _, err := stdout.Write(res.Body); err != nil {
-			fmt.Fprintf(stderr, "deadmem: %v\n", err)
-			return 1
-		}
-		if res.Degraded {
-			fmt.Fprintln(stderr, "deadmem: degraded: the server contained a pipeline fault; results may be incomplete")
-			return 1
-		}
-		return 0
 	}
 
 	comp, err := deadmembers.Compile(ctx, deadmembers.CompileConfig{Workers: *parallel}, sources...)

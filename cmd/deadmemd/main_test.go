@@ -48,7 +48,8 @@ func TestUsageErrors(t *testing.T) {
 		t.Errorf("positional arg: exit %d, want 2", code)
 	}
 	// deadmemd is one daemon: the fleet coordinator and the chaos
-	// layer are not part of the binary, so their flags are unknown. The
+	// layer are not part of the binary, and the 429 hint is always
+	// adaptive, so their flags are unknown. The
 	// unlistenable address makes a binary that still accepted them fail
 	// with 1 instead of serving.
 	for _, removed := range [][]string{
@@ -56,6 +57,7 @@ func TestUsageErrors(t *testing.T) {
 		{"-workers=http://x"},
 		{"-coordinator", "-workers=http://x"},
 		{"-chaos-rate=0.1"},
+		{"-retry-after=2s"},
 	} {
 		args := append(removed, "-addr", "256.256.256.256:99999")
 		if code := run(args, &out, &errOut); code != 2 {

@@ -41,14 +41,14 @@ import (
 	"deadmembers/internal/dynprof"
 	"deadmembers/internal/engine"
 	"deadmembers/internal/failure"
-	"deadmembers/internal/frontend"
 	"deadmembers/internal/interp"
 	"deadmembers/internal/lint"
+	"deadmembers/internal/source"
 	"deadmembers/internal/strip"
 )
 
 // Source is one named MC++ source file.
-type Source = frontend.Source
+type Source = source.Source
 
 // CallGraphMode selects call-graph precision. The zero value is RTA, the
 // paper's configuration.

@@ -9,7 +9,7 @@ import (
 
 	"deadmembers"
 	"deadmembers/internal/cfg"
-	"deadmembers/internal/frontend"
+	"deadmembers/internal/engine"
 )
 
 // The fuzz targets hold the pipeline to its containment contract on
@@ -92,7 +92,7 @@ func FuzzAnalyze(f *testing.F) {
 func FuzzCFG(f *testing.F) {
 	seedCorpus(f)
 	f.Fuzz(func(t *testing.T, text string) {
-		res := frontend.Compile(frontend.Source{Name: "fuzz.mcc", Text: text})
+		res := engine.Compile(engine.Config{Workers: 1}, engine.Source{Name: "fuzz.mcc", Text: text})
 		if res.Err() != nil {
 			return
 		}

@@ -9,7 +9,7 @@ import (
 	"fmt"
 
 	"deadmembers/internal/engine"
-	"deadmembers/internal/frontend"
+	"deadmembers/internal/source"
 )
 
 // PaperRow carries the paper's published numbers for one benchmark, used
@@ -35,7 +35,7 @@ type PaperRow struct {
 type Benchmark struct {
 	Name        string
 	Description string
-	Sources     []frontend.Source
+	Sources     []source.Source
 	Paper       PaperRow
 
 	// GroundTruth is the exact set of dead members planted by the
@@ -70,7 +70,7 @@ func All() []*Benchmark {
 		out = append(out, &Benchmark{
 			Name:        spec.Name,
 			Description: spec.Description,
-			Sources:     []frontend.Source{{Name: spec.Name + ".mcc", Text: src}},
+			Sources:     []source.Source{{Name: spec.Name + ".mcc", Text: src}},
 			Paper:       paperTable2[spec.Name],
 			GroundTruth: ground,
 		})
@@ -79,13 +79,13 @@ func All() []*Benchmark {
 		&Benchmark{
 			Name:        "deltablue",
 			Description: "incremental dataflow constraint solver",
-			Sources:     []frontend.Source{{Name: "deltablue.mcc", Text: deltablueSource}},
+			Sources:     []source.Source{{Name: "deltablue.mcc", Text: deltablueSource}},
 			Paper:       paperTable2["deltablue"],
 		},
 		&Benchmark{
 			Name:        "richards",
 			Description: "simple operating system simulator",
-			Sources:     []frontend.Source{{Name: "richards.mcc", Text: richardsSource}},
+			Sources:     []source.Source{{Name: "richards.mcc", Text: richardsSource}},
 			Paper:       paperTable2["richards"],
 		},
 	)

@@ -1,6 +1,6 @@
 package bench
 
-import "deadmembers/internal/frontend"
+import "deadmembers/internal/source"
 
 // The large corpus: synthesized programs whose dynamic size (executed
 // statements) is 10–50× the paper-calibrated corpus. The paper's Table 2
@@ -50,7 +50,7 @@ func Large() []*Benchmark {
 		out = append(out, &Benchmark{
 			Name:        spec.Name,
 			Description: spec.Description,
-			Sources:     []frontend.Source{{Name: spec.Name + ".mcc", Text: src}},
+			Sources:     []source.Source{{Name: spec.Name + ".mcc", Text: src}},
 			GroundTruth: ground,
 		})
 	}

@@ -9,13 +9,12 @@ import (
 	"deadmembers/internal/deadmember"
 	"deadmembers/internal/dynprof"
 	"deadmembers/internal/engine"
-	"deadmembers/internal/frontend"
 	"deadmembers/internal/strip"
 )
 
 // stripApply runs the dead-member elimination transform and returns the
 // transformed sources.
-func stripApply(res *deadmember.Result) []frontend.Source {
+func stripApply(res *deadmember.Result) []engine.Source {
 	return strip.Apply(res, strip.Options{}).Sources
 }
 
@@ -57,7 +56,7 @@ func TestRandomizedSpecSweep(t *testing.T) {
 		// Route through the engine with the default (all cores) worker
 		// pool: the sweep doubles as a differential test of the parallel
 		// parse and liveness stages against the planted ground truth.
-		c := engine.Compile(engine.Config{}, frontend.Source{Name: "sweep.mcc", Text: src})
+		c := engine.Compile(engine.Config{}, engine.Source{Name: "sweep.mcc", Text: src})
 		if err := c.Err(); err != nil {
 			t.Fatalf("case %d (seed %#x): generated program does not compile:\n%v", i, spec.Seed, err)
 		}
@@ -126,21 +125,21 @@ func TestSweepStripRoundTrip(t *testing.T) {
 
 func runSweepStrip(t *testing.T, i int, spec Spec, src string) {
 	t.Helper()
-	fr := frontend.Compile(frontend.Source{Name: "s.mcc", Text: src})
+	fr := engine.Compile(engine.Config{Workers: 1}, engine.Source{Name: "s.mcc", Text: src})
 	if err := fr.Err(); err != nil {
 		t.Fatalf("case %d: %v", i, err)
 	}
-	res := deadmember.Analyze(fr.Program, fr.Graph, deadmember.Options{CallGraph: callgraph.RTA})
+	res := deadmember.Analyze(fr.Program, fr.Hierarchy, deadmember.Options{CallGraph: callgraph.RTA})
 	before, err := dynprof.Run(res, dynprof.Options{})
 	if err != nil {
 		t.Fatalf("case %d: %v", i, err)
 	}
 	out := stripApply(res)
-	fr2 := frontend.Compile(out...)
+	fr2 := engine.Compile(engine.Config{Workers: 1}, out...)
 	if err := fr2.Err(); err != nil {
 		t.Fatalf("case %d (seed %#x): stripped program does not compile:\n%v", i, spec.Seed, err)
 	}
-	res2 := deadmember.Analyze(fr2.Program, fr2.Graph, deadmember.Options{CallGraph: callgraph.RTA})
+	res2 := deadmember.Analyze(fr2.Program, fr2.Hierarchy, deadmember.Options{CallGraph: callgraph.RTA})
 	after, err := dynprof.Run(res2, dynprof.Options{})
 	if err != nil {
 		t.Fatalf("case %d: stripped program failed: %v", i, err)

@@ -4,23 +4,23 @@ import (
 	"testing"
 
 	"deadmembers/internal/callgraph"
-	"deadmembers/internal/frontend"
+	"deadmembers/internal/engine"
 	"deadmembers/internal/types"
 )
 
-func compile(t *testing.T, src string) *frontend.Result {
+func compile(t *testing.T, src string) *engine.Compilation {
 	t.Helper()
-	r := frontend.Compile(frontend.Source{Name: "t.mcc", Text: src})
+	r := engine.Compile(engine.Config{Workers: 1}, engine.Source{Name: "t.mcc", Text: src})
 	if err := r.Err(); err != nil {
 		t.Fatalf("compile errors:\n%v", err)
 	}
 	return r
 }
 
-func build(t *testing.T, src string, mode callgraph.Mode) (*frontend.Result, *callgraph.Graph) {
+func build(t *testing.T, src string, mode callgraph.Mode) (*engine.Compilation, *callgraph.Graph) {
 	t.Helper()
 	r := compile(t, src)
-	return r, callgraph.Build(r.Program, r.Graph, callgraph.Options{Mode: mode})
+	return r, callgraph.Build(r.Program, r.Hierarchy, callgraph.Options{Mode: mode})
 }
 
 func reachableNames(g *callgraph.Graph) map[string]bool {
@@ -232,11 +232,11 @@ int main() {
 		}
 	}
 	// Without the extra root, onEvent is unreachable (never called).
-	g := callgraph.Build(r.Program, r.Graph, callgraph.Options{Mode: callgraph.RTA})
+	g := callgraph.Build(r.Program, r.Hierarchy, callgraph.Options{Mode: callgraph.RTA})
 	if reachableNames(g)["Mine::onEvent"] {
 		t.Fatal("onEvent should be unreachable without roots")
 	}
-	g = callgraph.Build(r.Program, r.Graph, callgraph.Options{Mode: callgraph.RTA, ExtraRoots: []*types.Func{root}})
+	g = callgraph.Build(r.Program, r.Hierarchy, callgraph.Options{Mode: callgraph.RTA, ExtraRoots: []*types.Func{root}})
 	names := reachableNames(g)
 	if !names["Mine::onEvent"] || !names["Mine::bump"] {
 		t.Errorf("extra root should pull in onEvent and bump: %v", names)

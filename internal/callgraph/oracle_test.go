@@ -9,19 +9,19 @@ import (
 
 	"deadmembers/internal/bench"
 	"deadmembers/internal/callgraph"
-	"deadmembers/internal/frontend"
+	"deadmembers/internal/engine"
 	"deadmembers/internal/hierarchy"
 	"deadmembers/internal/types"
 )
 
 // generated caches compiled scaling programs by class count; the oracle
 // and the scaling gate share the large ones.
-var generated = map[int]*frontend.Result{}
+var generated = map[int]*engine.Compilation{}
 
 // compileGenerated compiles a generated program of the given number of
 // classes in the shape of BenchmarkAnalysisScaling (and of perfbench's
 // large-program workload at 3200 classes).
-func compileGenerated(t *testing.T, classes int) *frontend.Result {
+func compileGenerated(t *testing.T, classes int) *engine.Compilation {
 	t.Helper()
 	if r := generated[classes]; r != nil {
 		return r
@@ -33,7 +33,7 @@ func compileGenerated(t *testing.T, classes int) *frontend.Result {
 		Allocations: 10, RetainMod: 1, DeadHeavyClasses: 3,
 		Seed: uint64(classes),
 	})
-	r := frontend.Compile(frontend.Source{Name: "scale.mcc", Text: text})
+	r := engine.Compile(engine.Config{Workers: 1}, engine.Source{Name: "scale.mcc", Text: text})
 	if err := r.Err(); err != nil {
 		t.Fatalf("%d classes: %v", classes, err)
 	}
@@ -78,11 +78,11 @@ func libraryOverrideRoots(prog *types.Program, h *hierarchy.Graph) []*types.Func
 func TestSlotsMatchReference(t *testing.T) {
 	type input struct {
 		name string
-		r    *frontend.Result
+		r    *engine.Compilation
 	}
 	var inputs []input
 	for _, bm := range bench.All() {
-		r := frontend.Compile(bm.Sources...)
+		r := engine.Compile(engine.Config{Workers: 1}, bm.Sources...)
 		if err := r.Err(); err != nil {
 			t.Fatalf("%s: %v", bm.Name, err)
 		}
@@ -99,7 +99,7 @@ func TestSlotsMatchReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := frontend.Compile(frontend.Source{Name: filepath.Base(path), Text: string(text)})
+		r := engine.Compile(engine.Config{Workers: 1}, engine.Source{Name: filepath.Base(path), Text: string(text)})
 		if err := r.Err(); err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}
@@ -111,7 +111,7 @@ func TestSlotsMatchReference(t *testing.T) {
 
 	withRoots := 0
 	for _, in := range inputs {
-		prog, h := in.r.Program, in.r.Graph
+		prog, h := in.r.Program, in.r.Hierarchy
 		roots := libraryOverrideRoots(prog, h)
 		if len(roots) > 0 {
 			withRoots++
@@ -212,8 +212,8 @@ func TestDispatchWorkScalesLinearly(t *testing.T) {
 	for i, n := range sizes {
 		r := compileGenerated(t, n)
 		opts := callgraph.Options{Mode: callgraph.RTA}
-		_, work[i] = callgraph.BuildCounted(r.Program, r.Graph, opts)
-		_, ref[i] = refBuild(r.Program, r.Graph, opts)
+		_, work[i] = callgraph.BuildCounted(r.Program, r.Hierarchy, opts)
+		_, ref[i] = refBuild(r.Program, r.Hierarchy, opts)
 	}
 	for i := 1; i < len(sizes); i++ {
 		ratio := float64(work[i]) / float64(work[i-1])

@@ -1,4 +1,4 @@
-package cfg
+package cfg_test
 
 import (
 	"flag"
@@ -7,7 +7,8 @@ import (
 	"strings"
 	"testing"
 
-	"deadmembers/internal/frontend"
+	"deadmembers/internal/cfg"
+	"deadmembers/internal/engine"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden CFG dumps")
@@ -27,13 +28,13 @@ func TestGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res := frontend.Compile(frontend.Source{Name: filepath.Base(path), Text: string(text)})
+			res := engine.Compile(engine.Config{Workers: 1}, engine.Source{Name: filepath.Base(path), Text: string(text)})
 			if err := res.Err(); err != nil {
 				t.Fatalf("fixture does not compile: %v", err)
 			}
 			var b strings.Builder
 			for _, f := range res.Program.AllFuncs() {
-				g := Build(f)
+				g := cfg.Build(f)
 				if g == nil {
 					continue
 				}
@@ -69,12 +70,12 @@ func TestInvariants(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := frontend.Compile(frontend.Source{Name: filepath.Base(path), Text: string(text)})
+		res := engine.Compile(engine.Config{Workers: 1}, engine.Source{Name: filepath.Base(path), Text: string(text)})
 		if err := res.Err(); err != nil {
 			t.Fatal(err)
 		}
 		for _, f := range res.Program.AllFuncs() {
-			g := Build(f)
+			g := cfg.Build(f)
 			if g == nil {
 				continue
 			}
@@ -87,7 +88,7 @@ func TestInvariants(t *testing.T) {
 
 // TestDOT sanity-checks the debug renderer on one fixture.
 func TestDOT(t *testing.T) {
-	res := frontend.Compile(frontend.Source{Name: "dot.mcc", Text: `
+	res := engine.Compile(engine.Config{Workers: 1}, engine.Source{Name: "dot.mcc", Text: `
 int main() {
     int x = 1;
     if (x > 0) { x = 2; }
@@ -102,7 +103,7 @@ int main() {
 	if len(fns) == 0 {
 		t.Fatal("no functions")
 	}
-	dot := Build(fns[0]).DOT()
+	dot := cfg.Build(fns[0]).DOT()
 	for _, want := range []string{"digraph cfg", "b0 ->", "shape=box"} {
 		if !strings.Contains(dot, want) {
 			t.Errorf("DOT output missing %q:\n%s", want, dot)

@@ -7,7 +7,7 @@ import (
 
 	"deadmembers/internal/callgraph"
 	"deadmembers/internal/deadmember"
-	"deadmembers/internal/frontend"
+	"deadmembers/internal/engine"
 	"deadmembers/internal/types"
 )
 
@@ -28,12 +28,12 @@ func faultOn(name string) func(*types.Func) {
 // member's classification is identical to a clean run, and the salvaged
 // result is identical across worker counts.
 func TestFuncFaultSalvagesSiblings(t *testing.T) {
-	r := frontend.Compile(frontend.Source{Name: "test.mcc", Text: figure1})
+	r := engine.Compile(engine.Config{Workers: 1}, engine.Source{Name: "test.mcc", Text: figure1})
 	if err := r.Err(); err != nil {
 		t.Fatalf("compile errors:\n%v", err)
 	}
 	opts := deadmember.Options{CallGraph: callgraph.RTA}
-	clean := deadmember.AnalyzeWith(r.Program, r.Graph, opts, deadmember.Exec{Workers: 4})
+	clean := deadmember.AnalyzeWith(r.Program, r.Hierarchy, opts, deadmember.Exec{Workers: 4})
 	if clean.Degraded() {
 		t.Fatalf("clean run reports failures: %v", clean.Failures)
 	}
@@ -41,7 +41,7 @@ func TestFuncFaultSalvagesSiblings(t *testing.T) {
 	mb1 := r.Program.ClassByName["B"].FieldByName("mb1")
 	var prev *deadmember.Result
 	for _, workers := range []int{1, 2, 4} {
-		res := deadmember.AnalyzeWith(r.Program, r.Graph, opts,
+		res := deadmember.AnalyzeWith(r.Program, r.Hierarchy, opts,
 			deadmember.Exec{Workers: workers, FuncFault: faultOn("B::f")})
 		if len(res.Failures) != 1 || !res.Degraded() {
 			t.Fatalf("workers=%d: failures = %v, want exactly one", workers, res.Failures)
@@ -81,14 +81,14 @@ func TestFuncFaultSalvagesSiblings(t *testing.T) {
 // TestAnalyzeInterrupted: a cancelled context stops the liveness pass and
 // flags the result as not trustworthy.
 func TestAnalyzeInterrupted(t *testing.T) {
-	r := frontend.Compile(frontend.Source{Name: "test.mcc", Text: figure1})
+	r := engine.Compile(engine.Config{Workers: 1}, engine.Source{Name: "test.mcc", Text: figure1})
 	if err := r.Err(); err != nil {
 		t.Fatalf("compile errors:\n%v", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, workers := range []int{1, 4} {
-		res := deadmember.AnalyzeWith(r.Program, r.Graph,
+		res := deadmember.AnalyzeWith(r.Program, r.Hierarchy,
 			deadmember.Options{CallGraph: callgraph.RTA},
 			deadmember.Exec{Workers: workers, Ctx: ctx})
 		if !res.Interrupted {

@@ -7,17 +7,17 @@ import (
 
 	"deadmembers/internal/callgraph"
 	"deadmembers/internal/deadmember"
-	"deadmembers/internal/frontend"
+	"deadmembers/internal/engine"
 )
 
 // analyze compiles src and runs the analysis with the given options.
 func analyze(t *testing.T, src string, opts deadmember.Options) *deadmember.Result {
 	t.Helper()
-	r := frontend.Compile(frontend.Source{Name: "test.mcc", Text: src})
+	r := engine.Compile(engine.Config{Workers: 1}, engine.Source{Name: "test.mcc", Text: src})
 	if err := r.Err(); err != nil {
 		t.Fatalf("compile errors:\n%v", err)
 	}
-	return deadmember.Analyze(r.Program, r.Graph, opts)
+	return deadmember.Analyze(r.Program, r.Hierarchy, opts)
 }
 
 func deadNames(res *deadmember.Result) []string {

@@ -6,16 +6,16 @@ import (
 	"deadmembers/internal/callgraph"
 	"deadmembers/internal/deadmember"
 	"deadmembers/internal/dynprof"
-	"deadmembers/internal/frontend"
+	"deadmembers/internal/engine"
 )
 
 func analyze(t *testing.T, src string) *deadmember.Result {
 	t.Helper()
-	r := frontend.Compile(frontend.Source{Name: "t.mcc", Text: src})
+	r := engine.Compile(engine.Config{Workers: 1}, engine.Source{Name: "t.mcc", Text: src})
 	if err := r.Err(); err != nil {
 		t.Fatalf("compile:\n%v", err)
 	}
-	return deadmember.Analyze(r.Program, r.Graph, deadmember.Options{CallGraph: callgraph.RTA})
+	return deadmember.Analyze(r.Program, r.Hierarchy, deadmember.Options{CallGraph: callgraph.RTA})
 }
 
 func TestProfileAttributesDeadBytes(t *testing.T) {

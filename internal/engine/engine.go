@@ -33,7 +33,6 @@ import (
 	"deadmembers/internal/callgraph"
 	"deadmembers/internal/deadmember"
 	"deadmembers/internal/failure"
-	"deadmembers/internal/frontend"
 	"deadmembers/internal/hierarchy"
 	"deadmembers/internal/lint"
 	"deadmembers/internal/parser"
@@ -43,9 +42,9 @@ import (
 	"deadmembers/internal/types"
 )
 
-// Source is one named MC++ source file (re-exported from the frontend so
+// Source is one named MC++ source file (re-exported from package source so
 // engine callers need only this package).
-type Source = frontend.Source
+type Source = source.Source
 
 // Config controls pipeline execution, never results.
 type Config struct {

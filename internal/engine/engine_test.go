@@ -12,7 +12,6 @@ import (
 	"deadmembers/internal/callgraph"
 	"deadmembers/internal/deadmember"
 	"deadmembers/internal/engine"
-	"deadmembers/internal/frontend"
 	"deadmembers/internal/strip"
 )
 
@@ -84,11 +83,11 @@ func TestParallelDeterminism(t *testing.T) {
 
 		// The engine must also agree byte-for-byte with the original
 		// sequential frontend + analysis path.
-		fr := frontend.Compile(bm.Sources...)
-		if err := fr.Err(); err != nil {
+		prog, h, diags := referenceCompile(bm.Sources...)
+		if err := diags.Err(); err != nil {
 			t.Fatalf("%s: %v", bm.Name, err)
 		}
-		seed := renderResult(deadmember.Analyze(fr.Program, fr.Graph, deadmember.Options{CallGraph: callgraph.RTA}))
+		seed := renderResult(deadmember.Analyze(prog, h, deadmember.Options{CallGraph: callgraph.RTA}))
 		if seed != want {
 			t.Fatalf("%s: engine result differs from the sequential frontend path", bm.Name)
 		}
@@ -132,7 +131,7 @@ func TestParallelDeterminismAcrossOptions(t *testing.T) {
 // same artifact (so its call-graph cache is shared too).
 func TestSessionCompileOnce(t *testing.T) {
 	s := engine.NewSession(engine.Config{})
-	src := frontend.Source{Name: "a.mcc", Text: "class A { public: int x; A() : x(1) {} }; int main() { A a; return 0; }"}
+	src := engine.Source{Name: "a.mcc", Text: "class A { public: int x; A() : x(1) {} }; int main() { A a; return 0; }"}
 
 	c1 := s.CompileContext(context.Background(), src)
 	c2 := s.CompileContext(context.Background(), src)
@@ -165,7 +164,7 @@ func TestSessionCompileOnce(t *testing.T) {
 // library lists apart even when a name embeds what a naive join would
 // use as its separator — ["A\x00B"] is one class, ["A","B"] two.
 func TestCallGraphCacheKeysLibraryNames(t *testing.T) {
-	c := engine.Compile(engine.Config{}, frontend.Source{Name: "a.mcc", Text: "class A { public: int x; A() : x(1) {} }; int main() { A a; return 0; }"})
+	c := engine.Compile(engine.Config{}, engine.Source{Name: "a.mcc", Text: "class A { public: int x; A() : x(1) {} }; int main() { A a; return 0; }"})
 	if err := c.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +179,7 @@ func TestCallGraphCacheKeysLibraryNames(t *testing.T) {
 // the session must treat the compilation as evicted and recompile.
 func TestStripConsumesCompilation(t *testing.T) {
 	s := engine.NewSession(engine.Config{})
-	src := frontend.Source{Name: "s.mcc", Text: `
+	src := engine.Source{Name: "s.mcc", Text: `
 class Box { public: int used; int unused; Box() : used(1), unused(2) {} };
 int main() { Box b; return b.used; }
 `}
@@ -214,7 +213,7 @@ int main() { Box b; return b.used; }
 // compilation is not consumed and the session keeps serving it.
 func TestStripCancelledKeepsCompilation(t *testing.T) {
 	s := engine.NewSession(engine.Config{})
-	src := frontend.Source{Name: "s.mcc", Text: `
+	src := engine.Source{Name: "s.mcc", Text: `
 class Box { public: int used; int unused; Box() : used(1), unused(2) {} };
 int main() { Box b; return b.used; }
 `}
@@ -237,7 +236,7 @@ int main() { Box b; return b.used; }
 // are merged in file order, so error reports are identical at any worker
 // count — including which file's error comes first.
 func TestParallelParseDiagnosticsDeterministic(t *testing.T) {
-	sources := []frontend.Source{
+	sources := []engine.Source{
 		{Name: "one.mcc", Text: "class A { public: int x; };\nint broken1() { return $; }\n"},
 		{Name: "two.mcc", Text: "int broken2() { return @; }\n"},
 		{Name: "three.mcc", Text: "class B : public A { public: int y; };\nint broken3() { return #; }\nint main() { return 0; }\n"},
@@ -260,7 +259,7 @@ func TestParallelParseDiagnosticsDeterministic(t *testing.T) {
 // TestMultiFileEngineCompile: cross-file type references survive the
 // parallel prescan/parse split.
 func TestMultiFileEngineCompile(t *testing.T) {
-	sources := []frontend.Source{
+	sources := []engine.Source{
 		{Name: "lib.mcc", Text: "class Vec { public: int x; int pad; Vec() : x(3), pad(0) {} };"},
 		{Name: "app.mcc", Text: "int main() { Vec v; return v.x - 3; }"},
 	}

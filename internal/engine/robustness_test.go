@@ -1,17 +1,20 @@
-package frontend
+package engine_test
 
 import (
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"deadmembers/internal/engine"
 	"deadmembers/internal/source"
 )
 
 // TestFrontendNeverPanics drives the whole frontend (lexer, parser, sema)
 // with structured garbage: random token soup assembled from MC++
 // vocabulary. The frontend must terminate and either produce a program or
-// diagnostics — never panic or hang.
+// diagnostics — never panic or hang. The engine contains a panic as a
+// Failure instead of crashing, so every test here also requires that
+// no Failure was recorded.
 func TestFrontendNeverPanics(t *testing.T) {
 	vocab := []string{
 		"class", "struct", "union", "public", ":", ";", "{", "}", "(", ")",
@@ -28,8 +31,8 @@ func TestFrontendNeverPanics(t *testing.T) {
 			b.WriteString(vocab[int(p)%len(vocab)])
 			b.WriteByte(' ')
 		}
-		r := Compile(Source{Name: "garbage.mcc", Text: b.String()})
-		return r != nil && r.Program != nil
+		r := engine.Compile(engine.Config{Workers: 1}, engine.Source{Name: "garbage.mcc", Text: b.String()})
+		return r != nil && r.Program != nil && len(r.Failures) == 0
 	}
 	cfg := &quick.Config{MaxCount: 300}
 	if err := quick.Check(check, cfg); err != nil {
@@ -40,8 +43,8 @@ func TestFrontendNeverPanics(t *testing.T) {
 // TestFrontendNeverPanicsOnBytes feeds raw random bytes.
 func TestFrontendNeverPanicsOnBytes(t *testing.T) {
 	check := func(data []byte) bool {
-		r := Compile(Source{Name: "bytes.mcc", Text: string(data)})
-		return r != nil && r.Diags != nil
+		r := engine.Compile(engine.Config{Workers: 1}, engine.Source{Name: "bytes.mcc", Text: string(data)})
+		return r != nil && r.Diags != nil && len(r.Failures) == 0
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
@@ -58,9 +61,12 @@ class B : public A { public: int y; B() : y(1) {} virtual int f() { return y; } 
 int main() { B b; A* p = &b; return p->f(); }
 `
 	for i := 0; i <= len(full); i += 7 {
-		r := Compile(Source{Name: "part.mcc", Text: full[:i]})
+		r := engine.Compile(engine.Config{Workers: 1}, engine.Source{Name: "part.mcc", Text: full[:i]})
 		if r == nil || r.Program == nil {
 			t.Fatalf("prefix of length %d: frontend returned nil", i)
+		}
+		if len(r.Failures) != 0 {
+			t.Fatalf("prefix of length %d: contained panic: %v", i, r.Failures)
 		}
 	}
 }
@@ -78,9 +84,12 @@ func TestDeepNestingBounded(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			r := Compile(Source{Name: "deep.mcc", Text: c.src})
+			r := engine.Compile(engine.Config{Workers: 1}, engine.Source{Name: "deep.mcc", Text: c.src})
 			if r == nil || r.Program == nil {
 				t.Fatal("frontend returned nil on deeply nested input")
+			}
+			if len(r.Failures) != 0 {
+				t.Fatalf("contained panic: %v", r.Failures)
 			}
 			if !strings.Contains(r.Diags.String(), "nesting too deep") {
 				t.Fatalf("expected a nesting-depth diagnostic, got:\n%s", r.Diags.String())
@@ -93,9 +102,12 @@ func TestDeepNestingBounded(t *testing.T) {
 // with a diagnostic instead of being lexed.
 func TestOversizedFileRejected(t *testing.T) {
 	big := strings.Repeat("x", source.MaxFileSize+1)
-	r := Compile(Source{Name: "big.mcc", Text: big})
+	r := engine.Compile(engine.Config{Workers: 1}, engine.Source{Name: "big.mcc", Text: big})
 	if r == nil || !r.Diags.HasErrors() {
 		t.Fatal("oversized file was not rejected")
+	}
+	if len(r.Failures) != 0 {
+		t.Fatalf("contained panic: %v", r.Failures)
 	}
 	if !strings.Contains(r.Diags.String(), "file too large") {
 		t.Fatalf("expected a file-too-large diagnostic, got:\n%s", r.Diags.String())

@@ -6,7 +6,7 @@ import (
 	"testing"
 	"time"
 
-	"deadmembers/internal/frontend"
+	"deadmembers/internal/engine"
 	"deadmembers/internal/interp"
 )
 
@@ -21,14 +21,14 @@ int main() {
 // TestRunDeadline: a wall-clock deadline aborts a long execution with a
 // *CancelError that unwraps to context.DeadlineExceeded.
 func TestRunDeadline(t *testing.T) {
-	r := frontend.Compile(frontend.Source{Name: "spin.mcc", Text: spinSrc})
+	r := engine.Compile(engine.Config{Workers: 1}, engine.Source{Name: "spin.mcc", Text: spinSrc})
 	if err := r.Err(); err != nil {
 		t.Fatalf("compile errors:\n%v", err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := interp.Run(r.Program, r.Graph, interp.Options{Context: ctx})
+	_, err := interp.Run(r.Program, r.Hierarchy, interp.Options{Context: ctx})
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("expected a cancellation error, run completed")
@@ -48,13 +48,13 @@ func TestRunDeadline(t *testing.T) {
 // TestRunPreCancelled: an already-cancelled context stops the run at the
 // first step-boundary poll.
 func TestRunPreCancelled(t *testing.T) {
-	r := frontend.Compile(frontend.Source{Name: "spin.mcc", Text: spinSrc})
+	r := engine.Compile(engine.Config{Workers: 1}, engine.Source{Name: "spin.mcc", Text: spinSrc})
 	if err := r.Err(); err != nil {
 		t.Fatalf("compile errors:\n%v", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := interp.Run(r.Program, r.Graph, interp.Options{Context: ctx})
+	_, err := interp.Run(r.Program, r.Hierarchy, interp.Options{Context: ctx})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -4,7 +4,7 @@ import (
 	"strings"
 	"testing"
 
-	"deadmembers/internal/frontend"
+	"deadmembers/internal/engine"
 	"deadmembers/internal/heapsim"
 	"deadmembers/internal/interp"
 )
@@ -21,11 +21,11 @@ func run(t *testing.T, src string) *interp.Result {
 
 func tryRun(t *testing.T, src string) (*interp.Result, error) {
 	t.Helper()
-	r := frontend.Compile(frontend.Source{Name: "t.mcc", Text: src})
+	r := engine.Compile(engine.Config{Workers: 1}, engine.Source{Name: "t.mcc", Text: src})
 	if err := r.Err(); err != nil {
 		t.Fatalf("compile errors:\n%v", err)
 	}
-	return interp.Run(r.Program, r.Graph, interp.Options{})
+	return interp.Run(r.Program, r.Hierarchy, interp.Options{})
 }
 
 func expectExit(t *testing.T, src string, want int) {
@@ -374,12 +374,12 @@ func TestRuntimeErrors(t *testing.T) {
 }
 
 func TestStepLimitConfigurable(t *testing.T) {
-	r := frontend.Compile(frontend.Source{Name: "t.mcc", Text: `
+	r := engine.Compile(engine.Config{Workers: 1}, engine.Source{Name: "t.mcc", Text: `
 int main() { int s = 0; for (int i = 0; i < 1000000; i++) { s++; } return 0; }`})
 	if err := r.Err(); err != nil {
 		t.Fatal(err)
 	}
-	_, err := interp.Run(r.Program, r.Graph, interp.Options{MaxSteps: 1000})
+	_, err := interp.Run(r.Program, r.Hierarchy, interp.Options{MaxSteps: 1000})
 	if err == nil || !strings.Contains(err.Error(), "step limit") {
 		t.Fatalf("want step-limit error, got %v", err)
 	}
@@ -399,12 +399,12 @@ int main() {
 	delete b3;
 	return 0;
 }`
-	r := frontend.Compile(frontend.Source{Name: "t.mcc", Text: src})
+	r := engine.Compile(engine.Config{Workers: 1}, engine.Source{Name: "t.mcc", Text: src})
 	if err := r.Err(); err != nil {
 		t.Fatal(err)
 	}
 	led := heapsim.New()
-	if _, err := interp.Run(r.Program, r.Graph, interp.Options{Ledger: led}); err != nil {
+	if _, err := interp.Run(r.Program, r.Hierarchy, interp.Options{Ledger: led}); err != nil {
 		t.Fatal(err)
 	}
 	if led.TotalObjects != 4 {
@@ -429,12 +429,12 @@ int main() {
 	Outer o; // a single 8-byte allocation; Inner is embedded, not separate
 	return 0;
 }`
-	r := frontend.Compile(frontend.Source{Name: "t.mcc", Text: src})
+	r := engine.Compile(engine.Config{Workers: 1}, engine.Source{Name: "t.mcc", Text: src})
 	if err := r.Err(); err != nil {
 		t.Fatal(err)
 	}
 	led := heapsim.New()
-	if _, err := interp.Run(r.Program, r.Graph, interp.Options{Ledger: led}); err != nil {
+	if _, err := interp.Run(r.Program, r.Hierarchy, interp.Options{Ledger: led}); err != nil {
 		t.Fatal(err)
 	}
 	if led.TotalObjects != 1 {
@@ -473,12 +473,12 @@ int main() {
 	return 0;
 }`
 	src = strings.Replace(src, "每", "each", 1)
-	r := frontend.Compile(frontend.Source{Name: "t.mcc", Text: src})
+	r := engine.Compile(engine.Config{Workers: 1}, engine.Source{Name: "t.mcc", Text: src})
 	if err := r.Err(); err != nil {
 		t.Fatal(err)
 	}
 	led := heapsim.New()
-	if _, err := interp.Run(r.Program, r.Graph, interp.Options{Ledger: led}); err != nil {
+	if _, err := interp.Run(r.Program, r.Hierarchy, interp.Options{Ledger: led}); err != nil {
 		t.Fatal(err)
 	}
 	if led.TotalObjects != 100 {

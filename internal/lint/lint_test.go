@@ -1,4 +1,4 @@
-package lint
+package lint_test
 
 import (
 	"os"
@@ -9,7 +9,8 @@ import (
 
 	"deadmembers/internal/callgraph"
 	"deadmembers/internal/deadmember"
-	"deadmembers/internal/frontend"
+	"deadmembers/internal/engine"
+	"deadmembers/internal/lint"
 	"deadmembers/internal/types"
 )
 
@@ -21,27 +22,27 @@ func analyzeFixture(t *testing.T, name string, opts deadmember.Options) *deadmem
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := frontend.Compile(frontend.Source{Name: name, Text: string(text)})
+	res := engine.Compile(engine.Config{Workers: 1}, engine.Source{Name: name, Text: string(text)})
 	if err := res.Err(); err != nil {
 		t.Fatalf("%s does not compile: %v", name, err)
 	}
-	return deadmember.Analyze(res.Program, res.Graph, opts)
+	return deadmember.Analyze(res.Program, res.Hierarchy, opts)
 }
 
-func deadStoreFindings(r *Result) []Finding {
-	var out []Finding
+func deadStoreFindings(r *lint.Result) []lint.Finding {
+	var out []lint.Finding
 	for _, f := range r.Findings {
-		if f.Check == CheckDeadStore {
+		if f.Check == lint.CheckDeadStore {
 			out = append(out, f)
 		}
 	}
 	return out
 }
 
-func writeOnlyFindings(r *Result) []Finding {
-	var out []Finding
+func writeOnlyFindings(r *lint.Result) []lint.Finding {
+	var out []lint.Finding
 	for _, f := range r.Findings {
-		if f.Check == CheckWriteOnly {
+		if f.Check == lint.CheckWriteOnly {
 			out = append(out, f)
 		}
 	}
@@ -52,7 +53,7 @@ func writeOnlyFindings(r *Result) []Finding {
 // negatives (read-after-store, loop-carried read) are silent.
 func TestPlainDeadStores(t *testing.T) {
 	ar := analyzeFixture(t, "plain.mcc", deadmember.Options{CallGraph: callgraph.RTA})
-	r := Run(ar, Options{})
+	r := lint.Run(ar, lint.Options{})
 	if r.Degraded() {
 		t.Fatalf("degraded: %v", r.Failures)
 	}
@@ -95,7 +96,7 @@ func TestSuppressions(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.fixture, func(t *testing.T) {
 			ar := analyzeFixture(t, c.fixture, c.opts)
-			r := Run(ar, Options{})
+			r := lint.Run(ar, lint.Options{})
 			if r.Degraded() {
 				t.Fatalf("degraded: %v", r.Failures)
 			}
@@ -111,7 +112,7 @@ func TestSuppressions(t *testing.T) {
 // the dead-store finding.
 func TestTrustDowncastsReenables(t *testing.T) {
 	ar := analyzeFixture(t, "unsafecast.mcc", deadmember.Options{CallGraph: callgraph.RTA, TrustDowncasts: true})
-	r := Run(ar, Options{})
+	r := lint.Run(ar, lint.Options{})
 	ds := deadStoreFindings(r)
 	if len(ds) != 1 || ds[0].Member != "A::a1" {
 		t.Fatalf("want exactly one A::a1 dead store, got %v", ds)
@@ -123,7 +124,7 @@ func TestTrustDowncastsReenables(t *testing.T) {
 // reported at its declaration.
 func TestWriteOnlyCorroboration(t *testing.T) {
 	ar := analyzeFixture(t, "writeonly.mcc", deadmember.Options{CallGraph: callgraph.RTA})
-	r := Run(ar, Options{})
+	r := lint.Run(ar, lint.Options{})
 	if r.Degraded() {
 		t.Fatalf("degraded: %v", r.Failures)
 	}
@@ -160,7 +161,7 @@ func TestWriteOnlyCorroboration(t *testing.T) {
 // contract on a fixture that produces several findings.
 func TestFindingsSorted(t *testing.T) {
 	ar := analyzeFixture(t, "plain.mcc", deadmember.Options{CallGraph: callgraph.RTA})
-	r := Run(ar, Options{})
+	r := lint.Run(ar, lint.Options{})
 	for i := 1; i < len(r.Findings); i++ {
 		a, b := r.Findings[i-1], r.Findings[i]
 		if a.File > b.File ||
@@ -180,9 +181,9 @@ func TestParallelDeterminism(t *testing.T) {
 			opts.LibraryClasses = []string{"Lib"}
 		}
 		ar := analyzeFixture(t, fixture, opts)
-		seq := RunWith(ar, Options{}, Exec{Workers: 1})
+		seq := lint.RunWith(ar, lint.Options{}, lint.Exec{Workers: 1})
 		for _, workers := range []int{2, 4, 8} {
-			par := RunWith(ar, Options{}, Exec{Workers: workers})
+			par := lint.RunWith(ar, lint.Options{}, lint.Exec{Workers: workers})
 			if !reflect.DeepEqual(seq.Findings, par.Findings) {
 				t.Fatalf("%s: findings differ between 1 and %d workers\nseq: %v\npar: %v",
 					fixture, workers, seq.Findings, par.Findings)
@@ -196,7 +197,7 @@ func TestParallelDeterminism(t *testing.T) {
 // marker that name the overrunning function, no panic, no hang.
 func TestBudgetOverrunDegrades(t *testing.T) {
 	ar := analyzeFixture(t, "plain.mcc", deadmember.Options{CallGraph: callgraph.RTA})
-	r := Run(ar, Options{Budget: 1})
+	r := lint.Run(ar, lint.Options{Budget: 1})
 	if !r.Degraded() {
 		t.Fatal("budget 1 should degrade the run")
 	}
@@ -225,7 +226,7 @@ func TestBudgetOverrunDegrades(t *testing.T) {
 // other functions' findings survive.
 func TestFaultInjection(t *testing.T) {
 	ar := analyzeFixture(t, "plain.mcc", deadmember.Options{CallGraph: callgraph.RTA})
-	r := RunWith(ar, Options{}, Exec{
+	r := lint.RunWith(ar, lint.Options{}, lint.Exec{
 		Workers: 4,
 		FuncFault: func(f *types.Func) {
 			if f.QualifiedName() == "overwrite" {

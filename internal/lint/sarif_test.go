@@ -1,4 +1,4 @@
-package lint
+package lint_test
 
 import (
 	"bytes"
@@ -7,6 +7,7 @@ import (
 
 	"deadmembers/internal/callgraph"
 	"deadmembers/internal/deadmember"
+	"deadmembers/internal/lint"
 )
 
 // TestSARIFShape validates the output against the SARIF 2.1.0 schema
@@ -15,12 +16,12 @@ import (
 // physicalLocation with artifactLocation + region.
 func TestSARIFShape(t *testing.T) {
 	ar := analyzeFixture(t, "plain.mcc", deadmember.Options{CallGraph: callgraph.RTA})
-	r := Run(ar, Options{})
+	r := lint.Run(ar, lint.Options{})
 	if len(r.Findings) == 0 {
 		t.Fatal("fixture should produce findings")
 	}
 	var buf bytes.Buffer
-	if err := WriteSARIF(&buf, r); err != nil {
+	if err := lint.WriteSARIF(&buf, r); err != nil {
 		t.Fatal(err)
 	}
 
@@ -57,7 +58,7 @@ func TestSARIFShape(t *testing.T) {
 			t.Error("rule missing shortDescription.text")
 		}
 	}
-	if !ruleIDs[CheckDeadStore] || !ruleIDs[CheckWriteOnly] {
+	if !ruleIDs[lint.CheckDeadStore] || !ruleIDs[lint.CheckWriteOnly] {
 		t.Errorf("rule catalog incomplete: %v", ruleIDs)
 	}
 
@@ -94,10 +95,10 @@ func TestSARIFShape(t *testing.T) {
 // TestTextAndJSONFormats sanity-checks the other two writers.
 func TestTextAndJSONFormats(t *testing.T) {
 	ar := analyzeFixture(t, "plain.mcc", deadmember.Options{CallGraph: callgraph.RTA})
-	r := Run(ar, Options{})
+	r := lint.Run(ar, lint.Options{})
 
 	var text bytes.Buffer
-	if err := WriteText(&text, r); err != nil {
+	if err := lint.WriteText(&text, r); err != nil {
 		t.Fatal(err)
 	}
 	lines := bytes.Count(text.Bytes(), []byte("\n"))
@@ -109,13 +110,13 @@ func TestTextAndJSONFormats(t *testing.T) {
 	}
 
 	var js bytes.Buffer
-	if err := WriteJSON(&js, r); err != nil {
+	if err := lint.WriteJSON(&js, r); err != nil {
 		t.Fatal(err)
 	}
 	var rep struct {
-		Findings []Finding `json:"findings"`
-		Funcs    int       `json:"funcs"`
-		Degraded bool      `json:"degraded"`
+		Findings []lint.Finding `json:"findings"`
+		Funcs    int            `json:"funcs"`
+		Degraded bool           `json:"degraded"`
 	}
 	if err := json.Unmarshal(js.Bytes(), &rep); err != nil {
 		t.Fatal(err)

@@ -7,21 +7,21 @@ import (
 	"deadmembers/internal/bench"
 	"deadmembers/internal/callgraph"
 	"deadmembers/internal/deadmember"
-	"deadmembers/internal/frontend"
+	"deadmembers/internal/engine"
 	"deadmembers/internal/interp"
 	"deadmembers/internal/printer"
 )
 
 // roundTrip compiles src, prints it, recompiles the output, and returns
 // both results.
-func roundTrip(t *testing.T, name, src string) (orig, reprinted *frontend.Result, printed string) {
+func roundTrip(t *testing.T, name, src string) (orig, reprinted *engine.Compilation, printed string) {
 	t.Helper()
-	orig = frontend.Compile(frontend.Source{Name: name, Text: src})
+	orig = engine.Compile(engine.Config{Workers: 1}, engine.Source{Name: name, Text: src})
 	if err := orig.Err(); err != nil {
 		t.Fatalf("original does not compile:\n%v", err)
 	}
 	printed = printer.Print(orig.Program.Files[0])
-	reprinted = frontend.Compile(frontend.Source{Name: name + ".printed", Text: printed})
+	reprinted = engine.Compile(engine.Config{Workers: 1}, engine.Source{Name: name + ".printed", Text: printed})
 	if err := reprinted.Err(); err != nil {
 		t.Fatalf("printed output does not compile:\n%v\n---- printed ----\n%s", err, printed)
 	}
@@ -74,11 +74,11 @@ int main() {
 	orig, reprinted, _ := roundTrip(t, "rt.mcc", src)
 
 	// Same program behaviour.
-	r1, err := interp.Run(orig.Program, orig.Graph, interp.Options{})
+	r1, err := interp.Run(orig.Program, orig.Hierarchy, interp.Options{})
 	if err != nil {
 		t.Fatalf("original run: %v", err)
 	}
-	r2, err := interp.Run(reprinted.Program, reprinted.Graph, interp.Options{})
+	r2, err := interp.Run(reprinted.Program, reprinted.Hierarchy, interp.Options{})
 	if err != nil {
 		t.Fatalf("reprinted run: %v", err)
 	}
@@ -95,18 +95,18 @@ func TestRoundTripCorpus(t *testing.T) {
 		t.Run(bm.Name, func(t *testing.T) {
 			orig, reprinted, _ := roundTrip(t, bm.Name, bm.Sources[0].Text)
 
-			a1 := deadmember.Analyze(orig.Program, orig.Graph, deadmember.Options{CallGraph: callgraph.RTA})
-			a2 := deadmember.Analyze(reprinted.Program, reprinted.Graph, deadmember.Options{CallGraph: callgraph.RTA})
+			a1 := deadmember.Analyze(orig.Program, orig.Hierarchy, deadmember.Options{CallGraph: callgraph.RTA})
+			a2 := deadmember.Analyze(reprinted.Program, reprinted.Hierarchy, deadmember.Options{CallGraph: callgraph.RTA})
 			d1, d2 := names(a1), names(a2)
 			if strings.Join(d1, ",") != strings.Join(d2, ",") {
 				t.Fatalf("dead sets differ after round trip:\n%v\nvs\n%v", d1, d2)
 			}
 
-			r1, err := interp.Run(orig.Program, orig.Graph, interp.Options{})
+			r1, err := interp.Run(orig.Program, orig.Hierarchy, interp.Options{})
 			if err != nil {
 				t.Fatalf("original run: %v", err)
 			}
-			r2, err := interp.Run(reprinted.Program, reprinted.Graph, interp.Options{})
+			r2, err := interp.Run(reprinted.Program, reprinted.Hierarchy, interp.Options{})
 			if err != nil {
 				t.Fatalf("reprinted run: %v", err)
 			}
@@ -139,7 +139,7 @@ func TestIdempotent(t *testing.T) {
 }
 
 func TestPrintExpr(t *testing.T) {
-	r := frontend.Compile(frontend.Source{Name: "e.mcc", Text: `
+	r := engine.Compile(engine.Config{Workers: 1}, engine.Source{Name: "e.mcc", Text: `
 int main() { int a = 1; int b = 2; return a + b * 3; }
 `})
 	if err := r.Err(); err != nil {

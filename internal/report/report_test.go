@@ -10,7 +10,6 @@ import (
 	"deadmembers/internal/bench"
 	"deadmembers/internal/deadmember"
 	"deadmembers/internal/engine"
-	"deadmembers/internal/frontend"
 )
 
 var (
@@ -248,11 +247,11 @@ func TestAblationSweepCompilesOncePerBenchmark(t *testing.T) {
 	for _, b := range bench.All() {
 		row := &AblationRow{Name: b.Name}
 		for _, v := range ablationVariants(row) {
-			r := frontend.Compile(b.Sources...)
+			r := engine.Compile(engine.Config{Workers: 1}, b.Sources...)
 			if err := r.Err(); err != nil {
 				t.Fatalf("%s: %v", b.Name, err)
 			}
-			st := deadmember.Analyze(r.Program, r.Graph, v.opts).Stats()
+			st := deadmember.Analyze(r.Program, r.Hierarchy, v.opts).Stats()
 			*v.dst = st.DeadMembers
 			row.Members = st.Members
 		}
@@ -357,7 +356,7 @@ func TestEnginesTableRendering(t *testing.T) {
 func TestCollectEnginesDegradesOnCompileError(t *testing.T) {
 	broken := &bench.Benchmark{
 		Name:    "broken",
-		Sources: []frontend.Source{{Name: "broken.mcc", Text: "int main() { return undeclared; }\n"}},
+		Sources: []engine.Source{{Name: "broken.mcc", Text: "int main() { return undeclared; }\n"}},
 	}
 	rows, err := CollectEngines(context.Background(),
 		engine.NewSession(engine.Config{Workers: 1}), []*bench.Benchmark{broken})

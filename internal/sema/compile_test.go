@@ -1,9 +1,10 @@
-package frontend
+package sema_test
 
 import (
 	"strings"
 	"testing"
 
+	"deadmembers/internal/engine"
 	"deadmembers/internal/types"
 )
 
@@ -49,7 +50,7 @@ int main() {
 `
 
 func TestCompileFigure1(t *testing.T) {
-	r := Compile(Source{Name: "figure1.mcc", Text: figure1})
+	r := engine.Compile(engine.Config{Workers: 1}, engine.Source{Name: "figure1.mcc", Text: figure1})
 	if err := r.Err(); err != nil {
 		t.Fatalf("unexpected errors:\n%v", err)
 	}
@@ -76,9 +77,9 @@ func TestCompileFigure1(t *testing.T) {
 		t.Fatal("A::f should be a virtual method")
 	}
 	// Layout sanity: B contains A subobject (vptr+3 ints) plus own fields.
-	lb := r.Graph.LayoutOf(b)
-	if lb.Size <= r.Graph.LayoutOf(a).Size {
-		t.Fatalf("sizeof(B)=%d should exceed sizeof(A)=%d", lb.Size, r.Graph.LayoutOf(a).Size)
+	lb := r.Hierarchy.LayoutOf(b)
+	if lb.Size <= r.Hierarchy.LayoutOf(a).Size {
+		t.Fatalf("sizeof(B)=%d should exceed sizeof(A)=%d", lb.Size, r.Hierarchy.LayoutOf(a).Size)
 	}
 	if lb.VptrBytes != 8 {
 		t.Fatalf("B should have one inherited vptr (8 bytes), got %d", lb.VptrBytes)
@@ -100,7 +101,7 @@ func TestCompileErrorsAreReported(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			r := Compile(Source{Name: "t.mcc", Text: tc.src})
+			r := engine.Compile(engine.Config{Workers: 1}, engine.Source{Name: "t.mcc", Text: tc.src})
 			err := r.Err()
 			if err == nil {
 				t.Fatalf("expected error containing %q, got none", tc.wantSub)
@@ -125,12 +126,12 @@ int main() {
 	return d.x + d.y + d.z;
 }
 `
-	r := Compile(Source{Name: "t.mcc", Text: src})
+	r := engine.Compile(engine.Config{Workers: 1}, engine.Source{Name: "t.mcc", Text: src})
 	if err := r.Err(); err != nil {
 		t.Fatalf("unexpected errors:\n%v", err)
 	}
 	derived := r.Program.ClassByName["Derived"]
-	f, err := r.Graph.LookupField(derived, "x")
+	f, err := r.Hierarchy.LookupField(derived, "x")
 	if err != nil {
 		t.Fatalf("lookup failed: %v", err)
 	}
@@ -149,7 +150,7 @@ int main() {
 	return d.v;
 }
 `
-	r := Compile(Source{Name: "t.mcc", Text: src})
+	r := engine.Compile(engine.Config{Workers: 1}, engine.Source{Name: "t.mcc", Text: src})
 	err := r.Err()
 	if err == nil || !strings.Contains(err.Error(), "ambiguous") {
 		t.Fatalf("expected ambiguity error, got: %v", err)
@@ -168,18 +169,18 @@ int main() {
 	return x.v;
 }
 `
-	r := Compile(Source{Name: "t.mcc", Text: src})
+	r := engine.Compile(engine.Config{Workers: 1}, engine.Source{Name: "t.mcc", Text: src})
 	if err := r.Err(); err != nil {
 		t.Fatalf("diamond through virtual base should be unambiguous:\n%v", err)
 	}
 	d := r.Program.ClassByName["D"]
-	vbs := r.Graph.VirtualBases(d)
+	vbs := r.Hierarchy.VirtualBases(d)
 	if len(vbs) != 1 || vbs[0].Name != "V" {
 		t.Fatalf("expected one virtual base V, got %v", vbs)
 	}
 	// V's field must appear exactly once in D's layout.
 	count := 0
-	for _, mi := range r.Graph.LayoutOf(d).Members {
+	for _, mi := range r.Hierarchy.LayoutOf(d).Members {
 		if mi.Field.QualifiedName() == "V::v" {
 			count++
 		}
@@ -197,13 +198,13 @@ class R : public V { public: int r; };
 class D : public L, public R { public: int d; };
 int main() { D x; return x.d; }
 `
-	r := Compile(Source{Name: "t.mcc", Text: src})
+	r := engine.Compile(engine.Config{Workers: 1}, engine.Source{Name: "t.mcc", Text: src})
 	if err := r.Err(); err != nil {
 		t.Fatalf("unexpected errors:\n%v", err)
 	}
 	d := r.Program.ClassByName["D"]
 	count := 0
-	for _, mi := range r.Graph.LayoutOf(d).Members {
+	for _, mi := range r.Hierarchy.LayoutOf(d).Members {
 		if mi.Field.QualifiedName() == "V::v" {
 			count++
 		}
@@ -225,7 +226,7 @@ int main() {
 	return ap->*pm;
 }
 `
-	r := Compile(Source{Name: "t.mcc", Text: src})
+	r := engine.Compile(engine.Config{Workers: 1}, engine.Source{Name: "t.mcc", Text: src})
 	if err := r.Err(); err != nil {
 		t.Fatalf("unexpected errors:\n%v", err)
 	}
@@ -246,7 +247,7 @@ int main() {
 	return bp->y + (ap2 != nullptr ? 1 : 0);
 }
 `
-	r := Compile(Source{Name: "t.mcc", Text: src})
+	r := engine.Compile(engine.Config{Workers: 1}, engine.Source{Name: "t.mcc", Text: src})
 	if err := r.Err(); err != nil {
 		t.Fatalf("unexpected errors:\n%v", err)
 	}
@@ -275,7 +276,7 @@ int main() {
 	return c.get();
 }
 `
-	r := Compile(Source{Name: "t.mcc", Text: src})
+	r := engine.Compile(engine.Config{Workers: 1}, engine.Source{Name: "t.mcc", Text: src})
 	if err := r.Err(); err != nil {
 		t.Fatalf("unexpected errors:\n%v", err)
 	}
@@ -304,7 +305,7 @@ int main() {
 	return s.pop() + s.pop();
 }
 `
-	r := Compile(Source{Name: "t.mcc", Text: src})
+	r := engine.Compile(engine.Config{Workers: 1}, engine.Source{Name: "t.mcc", Text: src})
 	if err := r.Err(); err != nil {
 		t.Fatalf("unexpected errors:\n%v", err)
 	}
@@ -333,7 +334,7 @@ int main() {
 	return v;
 }
 `
-	r := Compile(Source{Name: "t.mcc", Text: src})
+	r := engine.Compile(engine.Config{Workers: 1}, engine.Source{Name: "t.mcc", Text: src})
 	if err := r.Err(); err != nil {
 		t.Fatalf("unexpected errors:\n%v", err)
 	}
@@ -358,7 +359,7 @@ int main() {
 	return u.i;
 }
 `
-	r := Compile(Source{Name: "t.mcc", Text: src})
+	r := engine.Compile(engine.Config{Workers: 1}, engine.Source{Name: "t.mcc", Text: src})
 	if err := r.Err(); err != nil {
 		t.Fatalf("unexpected errors:\n%v", err)
 	}
@@ -366,7 +367,7 @@ int main() {
 	if !u.IsUnion() {
 		t.Fatal("U should be a union")
 	}
-	l := r.Graph.LayoutOf(u)
+	l := r.Hierarchy.LayoutOf(u)
 	if l.Size != 8 {
 		t.Fatalf("union of int/double/char should have size 8, got %d", l.Size)
 	}

@@ -4,14 +4,14 @@ import (
 	"strings"
 	"testing"
 
-	"deadmembers/internal/frontend"
+	"deadmembers/internal/engine"
 	"deadmembers/internal/types"
 )
 
 // check compiles src expecting success.
-func check(t *testing.T, src string) *frontend.Result {
+func check(t *testing.T, src string) *engine.Compilation {
 	t.Helper()
-	r := frontend.Compile(frontend.Source{Name: "t.mcc", Text: src})
+	r := engine.Compile(engine.Config{Workers: 1}, engine.Source{Name: "t.mcc", Text: src})
 	if err := r.Err(); err != nil {
 		t.Fatalf("unexpected errors:\n%v", err)
 	}
@@ -21,7 +21,7 @@ func check(t *testing.T, src string) *frontend.Result {
 // checkErr compiles src expecting an error containing want.
 func checkErr(t *testing.T, src, want string) {
 	t.Helper()
-	r := frontend.Compile(frontend.Source{Name: "t.mcc", Text: src})
+	r := engine.Compile(engine.Config{Workers: 1}, engine.Source{Name: "t.mcc", Text: src})
 	err := r.Err()
 	if err == nil {
 		t.Fatalf("expected error containing %q, got success", want)

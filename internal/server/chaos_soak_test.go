@@ -3,7 +3,9 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -12,8 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"deadmembers/internal/api"
-	"deadmembers/internal/client"
 	"deadmembers/internal/deadmember"
 	"deadmembers/internal/engine"
 	"deadmembers/internal/faultinject"
@@ -24,7 +24,8 @@ import (
 
 // TestChaosSoak is the crash-safety acceptance test: a server behind a
 // seeded fault injector (faulty disk under the artifact store,
-// latency/503/drop on the /v1 endpoints) is hammered through the retrying client, killed abruptly
+// latency/503/drop on the /v1 endpoints) is hammered by retrying POST
+// loops (postUntilAnswered), killed abruptly
 // mid-soak — with one on-disk record deliberately corrupted while it is
 // down — and restarted on the same address over the same persist
 // directory. The invariants:
@@ -43,7 +44,7 @@ func TestChaosSoak(t *testing.T) {
 	// the server uses.
 	type job struct {
 		call string // "analyze" | "lint"
-		req  *api.Request
+		body []byte
 		want string
 	}
 	var jobs []job
@@ -61,7 +62,10 @@ int main() { C%d c; return c.used; }
 		if err := comp.Err(); err != nil {
 			t.Fatal(err)
 		}
-		req := &api.Request{Sources: []api.Source{{Name: name, Text: text}}}
+		body, err := json.Marshal(wireRequest{Sources: []wireSource{{Name: name, Text: text}}})
+		if err != nil {
+			t.Fatal(err)
+		}
 		res, err := comp.AnalyzeContext(context.Background(), deadmember.Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -70,7 +74,7 @@ int main() { C%d c; return c.used; }
 		if err := textreport.Write(&abuf, res, textreport.Options{}); err != nil {
 			t.Fatal(err)
 		}
-		jobs = append(jobs, job{"analyze", req, abuf.String()})
+		jobs = append(jobs, job{"analyze", body, abuf.String()})
 		lres, _, err := comp.LintContext(context.Background(), deadmember.Options{}, lint.Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -79,7 +83,7 @@ int main() { C%d c; return c.used; }
 		if err := lint.WriteText(&lbuf, lres); err != nil {
 			t.Fatal(err)
 		}
-		jobs = append(jobs, job{"lint", req, lbuf.String()})
+		jobs = append(jobs, job{"lint", body, lbuf.String()})
 	}
 
 	cfg := Config{
@@ -113,15 +117,7 @@ int main() { C%d c; return c.used; }
 	s1, inj1, hs1, ln := boot("127.0.0.1:0", 42)
 	addr := ln.Addr().String()
 
-	cl := client.New(client.Config{
-		BaseURL:     "http://" + addr,
-		MaxAttempts: 10,
-		BaseBackoff: 5 * time.Millisecond,
-		MaxBackoff:  250 * time.Millisecond,
-		// The restart gap is part of the test; fail-fast would turn
-		// expected downtime into skipped coverage.
-		BreakerThreshold: -1,
-	})
+	base := "http://" + addr + "/v1/"
 
 	var (
 		mu                  sync.Mutex
@@ -136,22 +132,16 @@ int main() { C%d c; return c.used; }
 				for i := 0; i < perWorker; i++ {
 					j := jobs[(w*perWorker+i)%len(jobs)]
 					ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-					var res *client.Result
-					var err error
-					if j.call == "analyze" {
-						res, err = cl.Analyze(ctx, j.req)
-					} else {
-						res, err = cl.Lint(ctx, j.req)
-					}
+					got, err := postUntilAnswered(ctx, base+j.call, j.body)
 					cancel()
 					mu.Lock()
 					if err != nil {
 						failures++
 					} else {
 						successes++
-						if string(res.Body) != j.want {
+						if string(got) != j.want {
 							t.Errorf("%s response diverges from ground truth:\n--- got ---\n%s--- want ---\n%s",
-								j.call, res.Body, j.want)
+								j.call, got, j.want)
 						}
 					}
 					mu.Unlock()
@@ -174,7 +164,7 @@ int main() { C%d c; return c.used; }
 
 	// Abrupt kill mid-soak: phase 2 is already in flight when the
 	// listener and every open connection are severed with no drain. The
-	// client's retries must bridge the gap to the restarted process.
+	// POST loops' retries must bridge the gap to the restarted process.
 	phase2 := make(chan struct{})
 	go func() {
 		defer close(phase2)
@@ -200,7 +190,7 @@ int main() { C%d c; return c.used; }
 	<-phase2
 
 	mu.Lock()
-	t.Logf("soak: %d successes, %d exhausted-retry failures", successes, failures)
+	t.Logf("soak: %d successes, %d failures at the per-call deadline", successes, failures)
 	mu.Unlock()
 	if successes == 0 {
 		t.Fatal("soak produced no successful responses")
@@ -222,4 +212,34 @@ int main() { C%d c; return c.used; }
 		t.Error("no faults injected; the soak exercised nothing")
 	}
 	t.Logf("soak: %d faults injected; store before=%+v after=%+v", chaosTotal, st1, st2)
+}
+
+// postUntilAnswered POSTs a JSON body to url until the server answers:
+// connection errors, 5xx and 429 are retried after a short fixed
+// backoff until ctx ends. Any other status is returned as an error; a
+// 200 returns its body.
+func postUntilAnswered(ctx context.Context, url string, body []byte) ([]byte, error) {
+	for {
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
+		if err != nil {
+			return nil, err
+		}
+		req.Header.Set("Content-Type", "application/json")
+		if resp, err := http.DefaultClient.Do(req); err == nil {
+			got, rerr := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			switch code := resp.StatusCode; {
+			case rerr != nil || code >= 500 || code == http.StatusTooManyRequests:
+			case code == http.StatusOK:
+				return got, nil
+			default:
+				return nil, fmt.Errorf("status %d: %s", code, got)
+			}
+		}
+		select {
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
 }

@@ -5,9 +5,7 @@ import (
 	"net/http"
 	"strings"
 	"testing"
-	"time"
 
-	"deadmembers/internal/api"
 	"deadmembers/internal/engine"
 )
 
@@ -67,9 +65,9 @@ func TestWarmRestartServesFromDisk(t *testing.T) {
 // is why a library name containing ',' is rejected (TestErrorMapping)
 // instead of the key format changing.
 func TestArtifactKeyStable(t *testing.T) {
-	b, herr := bundleFromAPI(&api.Request{
-		Sources: []api.Source{{Name: "sample.mcc", Text: sample}},
-		Options: api.Options{Library: []string{"A", "B"}},
+	b, herr := bundleFromWire(&wireRequest{
+		Sources: []wireSource{{Name: "sample.mcc", Text: sample}},
+		Options: wireOptions{Library: []string{"A", "B"}},
 	})
 	if herr != nil {
 		t.Fatal(herr)
@@ -103,19 +101,7 @@ func TestDegradedResponsesNotPersisted(t *testing.T) {
 	}
 }
 
-// TestRetryAfterOverride: a configured -retry-after wins over the
-// adaptive estimate, rounded up to whole seconds.
-func TestRetryAfterOverride(t *testing.T) {
-	s, err := New(Config{Workers: 1, RetryAfter: 2500 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s.retryAfterSeconds(); got != 3 {
-		t.Errorf("retryAfterSeconds = %d, want 3 (ceil of 2.5s)", got)
-	}
-}
-
-// TestRetryAfterAdapts: with no override the hint tracks the recent
+// TestRetryAfterAdapts: the hint tracks the recent
 // average service time scaled by the backlog, clamped to [1s, 60s].
 func TestRetryAfterAdapts(t *testing.T) {
 	s, err := New(Config{Workers: 1, MaxInflight: 2, MaxQueue: 4})

@@ -1,19 +1,65 @@
 package server
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"mime"
 	"net/http"
+	"strconv"
 	"strings"
 
-	"deadmembers/internal/api"
 	"deadmembers/internal/callgraph"
 	"deadmembers/internal/deadmember"
 	"deadmembers/internal/engine"
 )
+
+// wireRequest is the JSON POST body for /v1/analyze, /v1/lint, and
+// /v1/strip. Field names mirror the CLI flags one for one: a request and
+// a command line describe the same run, and the response body is
+// byte-identical to that command's stdout. Endpoint-specific fields are
+// ignored by the other endpoints.
+type wireRequest struct {
+	Sources []wireSource `json:"sources"`
+	Options wireOptions  `json:"options"`
+
+	// analyze sections (deadmem -v / -classes / -unreachable)
+	Verbose     bool `json:"verbose,omitempty"`
+	Classes     bool `json:"classes,omitempty"`
+	Unreachable bool `json:"unreachable,omitempty"`
+
+	// lint (deadlint -format / -budget)
+	Format string `json:"format,omitempty"`
+	Budget int    `json:"budget,omitempty"`
+
+	// strip (deadstrip -keep-unreachable)
+	KeepUnreachable bool `json:"keep_unreachable,omitempty"`
+}
+
+// wireSource is one named MC++ source file.
+type wireSource struct {
+	Name string `json:"name"`
+	Text string `json:"text"`
+}
+
+// wireOptions carries the analysis options, named after the CLI flag
+// values.
+type wireOptions struct {
+	CallGraph      string   `json:"callgraph,omitempty"`
+	Sizeof         string   `json:"sizeof,omitempty"`
+	NoDeleteRule   bool     `json:"no_delete_rule,omitempty"`
+	TrustDowncasts bool     `json:"trust_downcasts,omitempty"`
+	WritesAreUses  bool     `json:"writes_are_uses,omitempty"`
+	Library        []string `json:"library,omitempty"`
+}
+
+// degradedHeader is set to "true" on responses rendered from a run in
+// which a pipeline stage panicked and was contained.
+const degradedHeader = "X-Deadmemd-Degraded"
 
 // httpError is a handler failure carrying the status code to report.
 type httpError struct {
@@ -47,8 +93,17 @@ type bundle struct {
 	keepUnreachable bool
 }
 
-// parseRequest decodes a request in either transport (see api.FromHTTP
-// for the two wire forms) and validates it into a bundle.
+// parseRequest decodes a request in either transport and validates it
+// into a bundle:
+//
+//   - Content-Type application/json: one wireRequest (any number of
+//     files, full option set; unknown fields and trailing data
+//     rejected);
+//   - anything else: the raw body is one source file, named by the
+//     ?file= query parameter, with options passed as query parameters
+//     named after the CLI flags (callgraph, sizeof, no-delete-rule,
+//     trust-downcasts, writes-are-uses, library, v, classes,
+//     unreachable, format, budget, keep-unreachable).
 //
 // The caller must have wrapped r.Body in http.MaxBytesReader; an
 // over-limit body surfaces here as a 413.
@@ -62,16 +117,93 @@ func parseRequest(r *http.Request) (*bundle, *httpError) {
 		}
 		return nil, badRequest("reading body: %v", err)
 	}
-	req, err := api.FromHTTP(r, body)
+	var req *wireRequest
+	if mt, _, perr := mime.ParseMediaType(r.Header.Get("Content-Type")); perr == nil && mt == "application/json" {
+		req, err = decodeJSON(body)
+	} else {
+		req, err = decodeQuery(r, body)
+	}
 	if err != nil {
 		return nil, badRequest("%v", err)
 	}
-	return bundleFromAPI(req)
+	return bundleFromWire(req)
 }
 
-// bundleFromAPI validates a wire request into the internal option set,
+// decodeJSON decodes exactly one wireRequest: anything after it but
+// whitespace is an error, not silently dropped.
+func decodeJSON(body []byte) (*wireRequest, error) {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	var req wireRequest
+	if err := dec.Decode(&req); err != nil {
+		return nil, fmt.Errorf("invalid JSON body: %v", err)
+	}
+	if err := dec.Decode(&struct{}{}); err != io.EOF {
+		return nil, errors.New("invalid JSON body: trailing data after the request object")
+	}
+	return &req, nil
+}
+
+// decodeQuery reads a raw-body request: the body is one source file and
+// the options come from the query string.
+func decodeQuery(r *http.Request, body []byte) (*wireRequest, error) {
+	q := r.URL.Query()
+	name := q.Get("file")
+	if name == "" {
+		name = "input.mcc"
+	}
+	// Unknown parameters are otherwise ignored, but lint once took a
+	// precision tier here: refuse it rather than silently run the one
+	// tier left, the way a JSON body's unknown field is refused.
+	if q.Has("precision") {
+		return nil, fmt.Errorf("unknown parameter %q", "precision")
+	}
+	req := &wireRequest{
+		Sources: []wireSource{{Name: name, Text: string(body)}},
+		Options: wireOptions{
+			CallGraph: q.Get("callgraph"),
+			Sizeof:    q.Get("sizeof"),
+		},
+		Format: q.Get("format"),
+	}
+	if lib := q.Get("library"); lib != "" {
+		req.Options.Library = strings.Split(lib, ",")
+	}
+	for _, p := range []struct {
+		key  string
+		dest *bool
+	}{
+		{"no-delete-rule", &req.Options.NoDeleteRule},
+		{"trust-downcasts", &req.Options.TrustDowncasts},
+		{"writes-are-uses", &req.Options.WritesAreUses},
+		{"v", &req.Verbose},
+		{"classes", &req.Classes},
+		{"unreachable", &req.Unreachable},
+		{"keep-unreachable", &req.KeepUnreachable},
+	} {
+		v := q.Get(p.key)
+		if v == "" {
+			continue
+		}
+		on, err := strconv.ParseBool(v)
+		if err != nil {
+			return nil, fmt.Errorf("invalid %s=%q", p.key, v)
+		}
+		*p.dest = on
+	}
+	if v := q.Get("budget"); v != "" {
+		n, err := strconv.Atoi(v)
+		if err != nil || n < 0 {
+			return nil, fmt.Errorf("invalid budget=%q", v)
+		}
+		req.Budget = n
+	}
+	return req, nil
+}
+
+// bundleFromWire validates a wire request into the internal option set,
 // with the same defaults as the CLIs.
-func bundleFromAPI(req *api.Request) (*bundle, *httpError) {
+func bundleFromWire(req *wireRequest) (*bundle, *httpError) {
 	if len(req.Sources) == 0 {
 		return nil, badRequest("no sources in request")
 	}
@@ -116,7 +248,7 @@ func bundleFromAPI(req *api.Request) (*bundle, *httpError) {
 
 // decodeOptions maps the wire option names (identical to the CLI flag
 // values) onto deadmember.Options, with the same defaults as the CLIs.
-func decodeOptions(o api.Options) (deadmember.Options, *httpError) {
+func decodeOptions(o wireOptions) (deadmember.Options, *httpError) {
 	opts := deadmember.Options{
 		NoDeleteSpecialCase: o.NoDeleteRule,
 		TrustDowncasts:      o.TrustDowncasts,

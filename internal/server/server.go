@@ -33,7 +33,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"deadmembers/internal/api"
 	"deadmembers/internal/engine"
 	"deadmembers/internal/lint"
 	"deadmembers/internal/persist"
@@ -83,12 +82,6 @@ type Config struct {
 	// PersistMaxBytes bounds the on-disk artifact bytes, LRU-evicted
 	// (default 1 GiB; negative = unbounded).
 	PersistMaxBytes int64
-
-	// RetryAfter overrides the Retry-After hint sent with 429 responses.
-	// Zero means adaptive: the hint is derived from the current queue
-	// depth and the recent average service time, so clients back off
-	// roughly as long as the backlog needs to clear.
-	RetryAfter time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -275,7 +268,7 @@ func (s *Server) endpoint(name string, fn func(ctx context.Context, b *bundle) (
 		}
 		if res.degraded {
 			s.met.markDegraded()
-			w.Header().Set(api.DegradedHeader, "true")
+			w.Header().Set(degradedHeader, "true")
 		} else if key != "" {
 			// Persist only full-fidelity artifacts, best-effort: a
 			// failed write costs a future recompile, nothing else.
@@ -286,15 +279,13 @@ func (s *Server) endpoint(name string, fn func(ctx context.Context, b *bundle) (
 	}
 }
 
-// retryAfterSeconds is the hint sent with 429 responses. With no
-// configured override it adapts to the backlog: the queue depth (plus
+// retryAfterSeconds is the hint sent with 429 responses. It adapts to
+// the backlog, so clients back off roughly as long as it needs to clear:
+// the queue depth (plus
 // the rejected request itself) times the recent average service time,
 // divided across the execution slots — roughly when a retry will find a
 // free slot — clamped to [1s, 60s].
 func (s *Server) retryAfterSeconds() int {
-	if s.cfg.RetryAfter > 0 {
-		return int(math.Ceil(s.cfg.RetryAfter.Seconds()))
-	}
 	avg := s.met.avgServiceSeconds()
 	if avg <= 0 {
 		return 1 // no samples yet; the old fixed hint

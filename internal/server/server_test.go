@@ -13,7 +13,7 @@ import (
 	"testing"
 	"time"
 
-	"deadmembers/internal/api"
+	"deadmembers/internal/callgraph"
 	"deadmembers/internal/deadmember"
 	"deadmembers/internal/engine"
 	"deadmembers/internal/lint"
@@ -64,28 +64,41 @@ func post(t *testing.T, url, contentType, body string) (*http.Response, string) 
 // through internal/textreport, and this pins the transport to it.
 func TestAnalyzeMatchesCLIRenderer(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
-	resp, body := post(t, ts.URL+"/v1/analyze?file=sample.mcc", "text/x-mcc", sample)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d, body: %s", resp.StatusCode, body)
-	}
+	// withHelper adds a function main never calls, so the unreachable
+	// section has an entry and the member only it reads stays dead.
+	withHelper := sample + "int helper() { Gadget g; return g.unused; }\n"
+	for _, tc := range []struct {
+		name, query, src string
+		opts             textreport.Options
+	}{
+		{"default", "", sample, textreport.Options{}},
+		{"all sections", "&v=true&classes=true&unreachable=true", withHelper,
+			textreport.Options{Verbose: true, PerClass: true, Unreachable: true}},
+	} {
+		resp, body := post(t, ts.URL+"/v1/analyze?file=sample.mcc"+tc.query, "text/x-mcc", tc.src)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d, body: %s", tc.name, resp.StatusCode, body)
+		}
 
-	comp := engine.Compile(engine.Config{Workers: 1}, engine.Source{Name: "sample.mcc", Text: sample})
-	if err := comp.Err(); err != nil {
-		t.Fatal(err)
-	}
-	res, err := comp.AnalyzeContext(context.Background(), deadmember.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want bytes.Buffer
-	if err := textreport.Write(&want, res, textreport.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	if body != want.String() {
-		t.Errorf("server body diverges from CLI renderer:\n--- server ---\n%s--- cli ---\n%s", body, want.String())
-	}
-	if !strings.Contains(body, "Gadget::unused") {
-		t.Errorf("missing dead member in body:\n%s", body)
+		comp := engine.Compile(engine.Config{Workers: 1}, engine.Source{Name: "sample.mcc", Text: tc.src})
+		if err := comp.Err(); err != nil {
+			t.Fatal(err)
+		}
+		// The CLI's default call graph; the zero Options value is ALL.
+		res, err := comp.AnalyzeContext(context.Background(), deadmember.Options{CallGraph: callgraph.RTA})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		if err := textreport.Write(&want, res, tc.opts); err != nil {
+			t.Fatal(err)
+		}
+		if body != want.String() {
+			t.Errorf("%s: server body diverges from CLI renderer:\n--- server ---\n%s--- cli ---\n%s", tc.name, body, want.String())
+		}
+		if !strings.Contains(body, "Gadget::unused") {
+			t.Errorf("%s: missing dead member in body:\n%s", tc.name, body)
+		}
 	}
 }
 
@@ -93,12 +106,12 @@ func TestAnalyzeMatchesCLIRenderer(t *testing.T) {
 // with the full option set.
 func TestAnalyzeJSONBundle(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
-	req := api.Request{
-		Sources: []api.Source{
+	req := wireRequest{
+		Sources: []wireSource{
 			{Name: "a.mcc", Text: "class A { public: int x; A() : x(1) {} };\n"},
 			{Name: "b.mcc", Text: "int main() { A a; return a.x; }\n"},
 		},
-		Options: api.Options{CallGraph: "cha"},
+		Options: wireOptions{CallGraph: "cha"},
 		Classes: true,
 	}
 	body, _ := json.Marshal(req)
@@ -174,9 +187,9 @@ func TestLintLibraryListsDoNotShareCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	lintBody := func(libs ...string) string {
-		b, err := json.Marshal(api.Request{
-			Sources: []api.Source{{Name: "writeonly.mcc", Text: string(text)}},
-			Options: api.Options{Library: libs},
+		b, err := json.Marshal(wireRequest{
+			Sources: []wireSource{{Name: "writeonly.mcc", Text: string(text)}},
+			Options: wireOptions{Library: libs},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -293,6 +306,10 @@ func TestErrorMapping(t *testing.T) {
 			`{"sources":[{"name":"a.mcc","text":"int main() { return 0; }"}],"options":{"library":["A,B"]}}`, http.StatusBadRequest},
 		{"precision in JSON body", "/v1/lint", "application/json",
 			`{"sources":[{"name":"a.mcc","text":"int main() { return 0; }"}],"precision":"flow"}`, http.StatusBadRequest},
+		{"trailing JSON after the request", "/v1/analyze", "application/json",
+			`{"sources":[{"name":"a.mcc","text":"int main() { return 0; }"}]} {"sources":[]} garbage`, http.StatusBadRequest},
+		{"trailing newline accepted", "/v1/analyze", "application/json",
+			`{"sources":[{"name":"a.mcc","text":"int main() { return 0; }"}]}` + "\n", http.StatusOK},
 		{"precision query parameter", "/v1/lint?precision=heap", "text/x-mcc", "int main() { return 0; }", http.StatusBadRequest},
 		{"compile error", "/v1/analyze?file=bad.mcc", "text/x-mcc", "class {", http.StatusUnprocessableEntity},
 		{"oversized body", "/v1/analyze", "text/x-mcc", strings.Repeat("x", 4096), http.StatusRequestEntityTooLarge},

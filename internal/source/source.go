@@ -31,6 +31,13 @@ type Span struct {
 // IsValid reports whether the span carries position information.
 func (s Span) IsValid() bool { return s.Start.IsValid() }
 
+// Source is one named MC++ source file as handed to the toolchain,
+// before it is registered in a FileSet.
+type Source struct {
+	Name string
+	Text string
+}
+
 // File represents a single source file: its name, content, and the
 // precomputed offsets of line starts, enabling O(log n) position lookup.
 type File struct {

@@ -23,8 +23,8 @@ import (
 
 	"deadmembers/internal/ast"
 	"deadmembers/internal/deadmember"
-	"deadmembers/internal/frontend"
 	"deadmembers/internal/printer"
+	"deadmembers/internal/source"
 	"deadmembers/internal/token"
 	"deadmembers/internal/types"
 )
@@ -40,7 +40,7 @@ type Options struct {
 // Result reports what was removed.
 type Result struct {
 	// Sources is the transformed program.
-	Sources []frontend.Source
+	Sources []source.Source
 
 	// RemovedMembers lists the stripped members (qualified names).
 	RemovedMembers []string
@@ -65,7 +65,7 @@ func Apply(res *deadmember.Result, opts Options) *Result {
 	s.planMemberRemoval()
 	s.rewrite()
 	for _, file := range res.Program.Files {
-		s.out.Sources = append(s.out.Sources, frontend.Source{
+		s.out.Sources = append(s.out.Sources, source.Source{
 			Name: file.Name,
 			Text: printer.Print(file),
 		})

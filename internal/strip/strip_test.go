@@ -8,17 +8,17 @@ import (
 	"deadmembers/internal/callgraph"
 	"deadmembers/internal/deadmember"
 	"deadmembers/internal/dynprof"
-	"deadmembers/internal/frontend"
+	"deadmembers/internal/engine"
 	"deadmembers/internal/strip"
 )
 
-func analyze(t *testing.T, sources ...frontend.Source) *deadmember.Result {
+func analyze(t *testing.T, sources ...engine.Source) *deadmember.Result {
 	t.Helper()
-	r := frontend.Compile(sources...)
+	r := engine.Compile(engine.Config{Workers: 1}, sources...)
 	if err := r.Err(); err != nil {
 		t.Fatalf("compile:\n%v", err)
 	}
-	return deadmember.Analyze(r.Program, r.Graph, deadmember.Options{CallGraph: callgraph.RTA})
+	return deadmember.Analyze(r.Program, r.Hierarchy, deadmember.Options{CallGraph: callgraph.RTA})
 }
 
 func TestStripSimpleWriteOnly(t *testing.T) {
@@ -36,7 +36,7 @@ int main() {
 	return p.get() * 7;
 }
 `
-	res := analyze(t, frontend.Source{Name: "t.mcc", Text: src})
+	res := analyze(t, engine.Source{Name: "t.mcc", Text: src})
 	out := strip.Apply(res, strip.Options{})
 	if len(out.RemovedMembers) != 1 || out.RemovedMembers[0] != "P::cached" {
 		t.Fatalf("removed = %v, want [P::cached]", out.RemovedMembers)
@@ -46,11 +46,11 @@ int main() {
 	}
 
 	// The stripped program compiles and behaves identically.
-	r2 := frontend.Compile(out.Sources...)
+	r2 := engine.Compile(engine.Config{Workers: 1}, out.Sources...)
 	if err := r2.Err(); err != nil {
 		t.Fatalf("stripped program does not compile:\n%v\n----\n%s", err, out.Sources[0].Text)
 	}
-	res2 := deadmember.Analyze(r2.Program, r2.Graph, deadmember.Options{CallGraph: callgraph.RTA})
+	res2 := deadmember.Analyze(r2.Program, r2.Hierarchy, deadmember.Options{CallGraph: callgraph.RTA})
 	p1, err := dynprof.Run(res, dynprof.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -85,16 +85,16 @@ int main() {
 	return a.live + calls; // calls must still be 1 after stripping
 }
 `
-	res := analyze(t, frontend.Source{Name: "t.mcc", Text: src})
+	res := analyze(t, engine.Source{Name: "t.mcc", Text: src})
 	out := strip.Apply(res, strip.Options{})
 	if len(out.RemovedMembers) != 1 {
 		t.Fatalf("removed = %v", out.RemovedMembers)
 	}
-	r2 := frontend.Compile(out.Sources...)
+	r2 := engine.Compile(engine.Config{Workers: 1}, out.Sources...)
 	if err := r2.Err(); err != nil {
 		t.Fatalf("stripped program does not compile:\n%v\n----\n%s", err, out.Sources[0].Text)
 	}
-	e2, err := dynprof.Run(deadmember.Analyze(r2.Program, r2.Graph, deadmember.Options{CallGraph: callgraph.RTA}), dynprof.Options{})
+	e2, err := dynprof.Run(deadmember.Analyze(r2.Program, r2.Hierarchy, deadmember.Options{CallGraph: callgraph.RTA}), dynprof.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ int main() {
 	return 0;
 }
 `
-	res := analyze(t, frontend.Source{Name: "t.mcc", Text: src})
+	res := analyze(t, engine.Source{Name: "t.mcc", Text: src})
 	out := strip.Apply(res, strip.Options{})
 	if len(out.RemovedMembers) != 0 {
 		t.Fatalf("removed = %v, want none", out.RemovedMembers)
@@ -126,7 +126,7 @@ int main() {
 		t.Fatalf("Inner::d should be kept with a receiver reason, got %v", out.KeptMembers)
 	}
 	// The emitted program must still compile (nothing was broken).
-	if err := frontend.Compile(out.Sources...).Err(); err != nil {
+	if err := engine.Compile(engine.Config{Workers: 1}, out.Sources...).Err(); err != nil {
 		t.Fatalf("output does not compile:\n%v", err)
 	}
 }
@@ -149,7 +149,7 @@ int main() {
 	return 0;
 }
 `
-	res := analyze(t, frontend.Source{Name: "t.mcc", Text: src})
+	res := analyze(t, engine.Source{Name: "t.mcc", Text: src})
 	// The analysis says pet is dead (its value never affects behaviour
 	// beyond the delete); Loud::v is dead too (never read).
 	deadNames := []string{}
@@ -186,13 +186,13 @@ int main() {
 	return s.get();
 }
 `
-	res := analyze(t, frontend.Source{Name: "t.mcc", Text: src})
+	res := analyze(t, engine.Source{Name: "t.mcc", Text: src})
 
 	// debugSum is read in record() via compound-style expression —
 	// actually `debugSum + 0` reads it, so it is live. Use the analysis
 	// to find what IS dead, then check strip consistency.
 	out := strip.Apply(res, strip.Options{})
-	r2 := frontend.Compile(out.Sources...)
+	r2 := engine.Compile(engine.Config{Workers: 1}, out.Sources...)
 	if err := r2.Err(); err != nil {
 		t.Fatalf("stripped output does not compile:\n%v\n----\n%s", err, out.Sources[0].Text)
 	}
@@ -218,11 +218,11 @@ func TestStripCorpus(t *testing.T) {
 			deadBytes := before.Ledger.DeadBytes
 
 			out := strip.Apply(res, strip.Options{})
-			r2 := frontend.Compile(out.Sources...)
+			r2 := engine.Compile(engine.Config{Workers: 1}, out.Sources...)
 			if err := r2.Err(); err != nil {
 				t.Fatalf("stripped %s does not compile:\n%v", bm.Name, err)
 			}
-			res2 := deadmember.Analyze(r2.Program, r2.Graph, deadmember.Options{CallGraph: callgraph.RTA})
+			res2 := deadmember.Analyze(r2.Program, r2.Hierarchy, deadmember.Options{CallGraph: callgraph.RTA})
 			after, err := dynprof.Run(res2, dynprof.Options{})
 			if err != nil {
 				t.Fatalf("stripped %s does not run: %v", bm.Name, err)

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"io"
 
-	"deadmembers/internal/frontend"
+	"deadmembers/internal/source"
 )
 
 // WriteSources emits transformed sources in the exact format cmd/deadstrip
@@ -12,7 +12,7 @@ import (
 // ----" banner when the program spans more than one file. The deadmemd
 // /v1/strip endpoint shares this renderer so server responses stay
 // byte-identical to the CLI.
-func WriteSources(w io.Writer, sources []frontend.Source) error {
+func WriteSources(w io.Writer, sources []source.Source) error {
 	for _, s := range sources {
 		if len(sources) > 1 {
 			if _, err := fmt.Fprintf(w, "// ---- %s ----\n", s.Name); err != nil {

@@ -1,8 +1,9 @@
 #!/bin/sh
 # smoke_server.sh — end-to-end proof that deadmemd is a drop-in transport
 # over the batch pipeline: it starts the daemon, waits for /healthz, and
-# diffs /v1/analyze and /v1/lint responses byte-for-byte against the
-# stdout of deadmem and deadlint -format json on the same sources.
+# diffs /v1/analyze, /v1/lint and /v1/strip responses byte-for-byte
+# against the stdout of deadmem (plain and -v -classes -unreachable),
+# deadlint -format json and deadstrip -verify=false on the same sources.
 set -eu
 
 GO=${GO:-go}
@@ -12,6 +13,7 @@ FILE=${FILE:-examples/mcc/writeonly.mcc}
 
 $GO build -o "$BIN/deadmem" ./cmd/deadmem
 $GO build -o "$BIN/deadlint" ./cmd/deadlint
+$GO build -o "$BIN/deadstrip" ./cmd/deadstrip
 $GO build -o "$BIN/deadmemd" ./cmd/deadmemd
 
 tmp=$(mktemp -d)
@@ -55,4 +57,15 @@ grep -q '^deadmemd_cache_compiles_total 1$' "$tmp/metrics"
 grep -q '^deadmemd_cache_hits_total 2$' "$tmp/metrics"
 grep -q 'deadmemd_requests_total{endpoint="/v1/analyze",code="200"} 2' "$tmp/metrics"
 
-echo "smoke-server: OK (analyze + lint byte-identical to CLIs, cache hits observed)"
+# Every report section, as deadmem -v -classes -unreachable prints it.
+"$BIN/deadmem" -v -classes -unreachable "$FILE" >"$tmp/cli.sections"
+curl -fsS --data-binary "@$FILE" "http://$ADDR/v1/analyze?file=$FILE&v=true&classes=true&unreachable=true" >"$tmp/srv.sections"
+diff -u "$tmp/cli.sections" "$tmp/srv.sections"
+
+# /v1/strip must be byte-identical to deadstrip's stdout; the server
+# does not run the behaviour check, so the CLI skips it too.
+"$BIN/deadstrip" -verify=false "$FILE" >"$tmp/cli.strip" 2>/dev/null
+curl -fsS --data-binary "@$FILE" "http://$ADDR/v1/strip?file=$FILE" >"$tmp/srv.strip"
+diff -u "$tmp/cli.strip" "$tmp/srv.strip"
+
+echo "smoke-server: OK (analyze, lint and strip byte-identical to CLIs, cache hits observed)"
