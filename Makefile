@@ -75,10 +75,11 @@ perfbench-check:
 bench:
 	$(GO) test -bench=. -benchmem
 
-# One iteration of the call-graph and scaling benchmarks (up to 3200
-# classes), so their bodies, which fail on empty or failed output, run.
+# One iteration of the lexer, frontend, call-graph and scaling benchmarks
+# (up to 3200 classes), so their bodies, which fail on empty or failed
+# output, run; -benchmem shows the frontend's allocation volume.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'CallGraphRTA|AnalysisScaling' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'Lexer|Frontend|CallGraphRTA|AnalysisScaling' -benchtime 1x -benchmem .
 
 # Run every Go example program (each examples/*/main.go); a nonzero exit
 # fails the target. Their stdout is discarded, their stderr is not.

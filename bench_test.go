@@ -201,17 +201,27 @@ func jikesSource(b *testing.B) engine.Source {
 	return bm.Sources[0]
 }
 
+// frontendInputs is jikes, the largest corpus program, and the 3200-class
+// generated program of BenchmarkAnalysisScaling (~1 MB).
+func frontendInputs(b *testing.B) []engine.Source {
+	large, _ := bench.Generate(scalingSpec(3200))
+	return []engine.Source{jikesSource(b), {Name: "classes=3200.mcc", Text: large}}
+}
+
 func BenchmarkLexer(b *testing.B) {
-	src := jikesSource(b)
-	b.SetBytes(int64(len(src.Text)))
-	for i := 0; i < b.N; i++ {
-		fset := source.NewFileSet()
-		f := fset.AddFile(src.Name, src.Text)
-		diags := source.NewDiagnosticList(fset)
-		toks := lexer.ScanAll(f, diags)
-		if len(toks) == 0 || diags.HasErrors() {
-			b.Fatal("lex failed")
-		}
+	for _, src := range frontendInputs(b) {
+		b.Run(strings.TrimSuffix(src.Name, ".mcc"), func(b *testing.B) {
+			b.SetBytes(int64(len(src.Text)))
+			for i := 0; i < b.N; i++ {
+				fset := source.NewFileSet()
+				f := fset.AddFile(src.Name, src.Text)
+				diags := source.NewDiagnosticList(fset)
+				toks := lexer.ScanAll(f, diags)
+				if len(toks) == 0 || diags.HasErrors() {
+					b.Fatal("lex failed")
+				}
+			}
+		})
 	}
 }
 
@@ -230,21 +240,23 @@ func BenchmarkParser(b *testing.B) {
 }
 
 func BenchmarkFrontend(b *testing.B) {
-	src := jikesSource(b)
-	b.SetBytes(int64(len(src.Text)))
-	for i := 0; i < b.N; i++ {
-		r := engine.Compile(engine.Config{Workers: 1}, src)
-		if err := r.Err(); err != nil {
-			b.Fatal(err)
-		}
+	for _, src := range frontendInputs(b) {
+		b.Run(strings.TrimSuffix(src.Name, ".mcc"), func(b *testing.B) {
+			b.SetBytes(int64(len(src.Text)))
+			for i := 0; i < b.N; i++ {
+				r := engine.Compile(engine.Config{Workers: 1}, src)
+				if err := r.Err(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
 // BenchmarkCallGraphRTA measures RTA construction on jikes and on a
 // 3200-class generated program (the shape of BenchmarkAnalysisScaling).
 func BenchmarkCallGraphRTA(b *testing.B) {
-	large, _ := bench.Generate(scalingSpec(3200))
-	for _, src := range []engine.Source{jikesSource(b), {Name: "classes=3200.mcc", Text: large}} {
+	for _, src := range frontendInputs(b) {
 		r := engine.Compile(engine.Config{Workers: 1}, src)
 		if err := r.Err(); err != nil {
 			b.Fatal(err)

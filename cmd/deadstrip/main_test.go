@@ -58,3 +58,51 @@ func TestUsageAndErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestKeptMembersStableOrder: members written through a call result
+// (o.pick()->x = …) stay, each reported on stderr; the report lists them
+// in the same (sorted) order on every run.
+func TestKeptMembersStableOrder(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "picked.mcc")
+	src := `
+class O {
+public:
+	int w;
+	int x;
+	int y;
+	int z;
+	O* pick() { return this; }
+};
+int main() {
+	O o;
+	o.pick()->z = 1;
+	o.pick()->x = 2;
+	o.pick()->w = 3;
+	o.pick()->y = 4;
+	return 0;
+}
+`
+	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var first string
+	for i := 0; i < 8; i++ {
+		var out, errOut strings.Builder
+		if code := run([]string{path}, &out, &errOut); code != 0 {
+			t.Fatalf("exit %d, stderr:\n%s", code, errOut.String())
+		}
+		if i == 0 {
+			first = errOut.String()
+			if n := strings.Count(first, "kept dead member O::"); n != 4 {
+				t.Fatalf("want 4 kept dead members, stderr:\n%s", first)
+			}
+			if !strings.Contains(first, "kept dead member O::w") || strings.Index(first, "O::w") > strings.Index(first, "O::z") {
+				t.Fatalf("kept members not in sorted order:\n%s", first)
+			}
+			continue
+		}
+		if errOut.String() != first {
+			t.Fatalf("run %d stderr differs:\n%s\nfirst run:\n%s", i, errOut.String(), first)
+		}
+	}
+}

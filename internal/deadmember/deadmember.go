@@ -55,8 +55,9 @@ func (p SizeofPolicy) String() string {
 
 // Options configures an analysis run.
 type Options struct {
-	// CallGraph selects call-graph precision (default RTA, matching the
-	// paper's PVG-derived graph).
+	// CallGraph selects call-graph precision. The zero value is
+	// callgraph.ALL (every function reachable); the CLIs and deadmemd
+	// default to callgraph.RTA, matching the paper's PVG-derived graph.
 	CallGraph callgraph.Mode
 
 	// Sizeof selects the sizeof policy (default SizeofIgnore, the paper's

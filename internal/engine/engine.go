@@ -34,6 +34,7 @@ import (
 	"deadmembers/internal/deadmember"
 	"deadmembers/internal/failure"
 	"deadmembers/internal/hierarchy"
+	"deadmembers/internal/lexer"
 	"deadmembers/internal/lint"
 	"deadmembers/internal/parser"
 	"deadmembers/internal/sema"
@@ -64,6 +65,11 @@ type Config struct {
 	// LintFault, when non-nil, is passed to the lint pass as
 	// lint.Exec.FuncFault (fault injection into a lint worker).
 	LintFault func(*types.Func)
+
+	// lexFault, when non-nil, runs inside each lex worker's containment
+	// boundary just before the named file is lexed. It is unexported:
+	// only this package's tests inject a fault there.
+	lexFault func(fileName string)
 }
 
 func (c Config) workers() int {
@@ -161,9 +167,10 @@ func (c *Compilation) Degraded() bool { return len(c.Failures) > 0 }
 // Timings returns the frontend stage durations of this compilation.
 func (c *Compilation) Timings() Timings { return c.timings }
 
-// Compile runs the frontend stages over sources: a parallel type-name
-// prescan, parallel per-file parsing (per-file diagnostic lists merged in
-// file order, so diagnostics are deterministic), then semantic analysis.
+// Compile runs the frontend stages over sources: parallel per-file lexing
+// with a type-name prescan over the same tokens, parallel per-file parsing
+// of those tokens (per-file diagnostic lists merged in file order, so
+// diagnostics are deterministic), then semantic analysis.
 // The result always carries a (possibly partial) program; check Err
 // before trusting it.
 func Compile(cfg Config, sources ...Source) *Compilation {
@@ -173,7 +180,7 @@ func Compile(cfg Config, sources ...Source) *Compilation {
 // CompileContext is Compile under a context. Cancellation is checked
 // cooperatively between work items in the parse worker pool and between
 // stages; a cancelled compile returns early with CancelErr set (and Err
-// returning it). Each parse worker and the sema stage run inside a
+// returning it). Each lex and parse worker and the sema stage run inside a
 // recover boundary: a panic is converted into a structured Failure, the
 // faulted file salvaged as an empty AST (or the program as an empty
 // program for sema), and every other file's results kept.
@@ -202,14 +209,28 @@ func CompileContext(ctx context.Context, cfg Config, sources ...Source) *Compila
 		}
 	}
 
-	// Stage 1a: pre-scan every file for declared type names, so class
-	// names declared in one file are known while parsing the others.
+	// Stage 1a: lex every file once and collect the type names it
+	// declares, so class names declared in one file are known while
+	// parsing the others. A file's lex diagnostics wait in its own list
+	// until the file is parsed. A panicking worker is contained like a
+	// parse fault: its file degrades to an empty AST with no diagnostics.
+	toks := make([][]lexer.Token, len(srcFiles))
+	lexDiags := make([]*source.DiagnosticList, len(srcFiles))
 	typeSets := make([]map[string]bool, len(srcFiles))
+	fileFails := make([]*failure.Failure, len(srcFiles))
 	ok := parallelFor(ctx, workers, len(srcFiles), func(i int) {
 		if oversized[i] {
 			return
 		}
-		typeSets[i] = parser.CollectTypeNames(srcFiles[i])
+		name := srcFiles[i].Name()
+		fileFails[i] = failure.Catch("parse", name, func() {
+			if cfg.lexFault != nil {
+				cfg.lexFault(name)
+			}
+			lexDiags[i] = source.NewDiagnosticList(fset)
+			toks[i] = lexer.ScanAll(srcFiles[i], lexDiags[i])
+			typeSets[i] = parser.TypeNames(srcFiles[i], toks[i])
+		})
 	})
 	if !ok {
 		return c.cancelled(ctx)
@@ -221,18 +242,19 @@ func CompileContext(ctx context.Context, cfg Config, sources ...Source) *Compila
 		}
 	}
 
-	// Stage 1b: parse each file independently into its own diagnostic
-	// list; merge in file order afterwards. A panicking worker is
-	// contained: its file degrades to an empty AST (plus the diagnostics
-	// it reported before faulting, which are deterministic), and a
-	// structured Failure records the fault.
+	// Stage 1b: parse each file's tokens independently into its own
+	// diagnostic list, behind its lex diagnostics; merge in file order
+	// afterwards. A file's tokens are dropped once it is parsed, so none
+	// are live during sema. A panicking worker is contained: its file
+	// degrades to an empty AST (plus the diagnostics it reported before
+	// faulting, which are deterministic), and a structured Failure
+	// records the fault.
 	files := make([]*ast.File, len(srcFiles))
 	fileDiags := make([]*source.DiagnosticList, len(srcFiles))
-	fileFails := make([]*failure.Failure, len(srcFiles))
 	ok = parallelFor(ctx, workers, len(srcFiles), func(i int) {
 		fileDiags[i] = source.NewDiagnosticList(fset)
 		name := srcFiles[i].Name()
-		if oversized[i] {
+		if oversized[i] || fileFails[i] != nil {
 			files[i] = &ast.File{Name: name}
 			return
 		}
@@ -240,8 +262,10 @@ func CompileContext(ctx context.Context, cfg Config, sources ...Source) *Compila
 			if cfg.ParseFault != nil {
 				cfg.ParseFault(name)
 			}
-			files[i] = parser.ParseFileWithTypes(srcFiles[i], fileDiags[i], allTypes)
+			fileDiags[i].Extend(lexDiags[i])
+			files[i] = parser.ParseTokens(srcFiles[i], toks[i], fileDiags[i], allTypes)
 		})
+		toks[i], lexDiags[i] = nil, nil
 		if files[i] == nil {
 			files[i] = &ast.File{Name: name}
 		}

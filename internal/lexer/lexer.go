@@ -11,41 +11,42 @@ import (
 	"deadmembers/internal/token"
 )
 
-// Token is a single lexical token with its source span and raw text.
+// Token is a single lexical token: its kind and source span. It holds no
+// pointers, so a token slice is one allocation the collector never scans;
+// the spelling is sliced from the source on demand (see Text).
 type Token struct {
-	Kind token.Kind
-	Text string
 	Pos  source.Pos
-	End  source.Pos
+	Len  int32 // bytes; a file is at most source.MaxFileSize long
+	Kind token.Kind
 }
 
-// String renders the token for debugging.
-func (t Token) String() string {
-	if t.Kind.IsLiteral() {
-		return t.Kind.String() + " " + t.Text
-	}
-	return t.Kind.String()
+// Text returns the token's spelling, sliced from the content of file, the
+// file the token was scanned from.
+func (t Token) Text(file *source.File) string {
+	off := file.Offset(t.Pos)
+	return file.Content()[off : off+int(t.Len)]
 }
 
-// Lexer scans a single source file.
-type Lexer struct {
+// scanner scans a single source file.
+type scanner struct {
 	file  *source.File
 	src   string
 	off   int
 	diags *source.DiagnosticList
 }
 
-// New returns a Lexer over file, reporting malformed input to diags.
-func New(file *source.File, diags *source.DiagnosticList) *Lexer {
-	return &Lexer{file: file, src: file.Content(), diags: diags}
-}
-
 // ScanAll scans the entire file and returns all tokens, ending with EOF.
+// The result is allocated once, up front, with room for one token per two
+// source bytes. MC++ code runs at about one token per three bytes (0.25 to
+// 0.35 over the paper corpus), so that holds every real program; denser
+// input, such as a run of parentheses, grows the slice by appending. Room
+// for the worst case, one token per byte, would triple the allocation and
+// the memory it holds while the file is parsed.
 func ScanAll(file *source.File, diags *source.DiagnosticList) []Token {
-	lx := New(file, diags)
-	var out []Token
+	lx := scanner{file: file, src: file.Content(), diags: diags}
+	out := make([]Token, 0, len(lx.src)/2+1)
 	for {
-		t := lx.Next()
+		t := lx.next()
 		out = append(out, t)
 		if t.Kind == token.EOF {
 			return out
@@ -53,16 +54,22 @@ func ScanAll(file *source.File, diags *source.DiagnosticList) []Token {
 	}
 }
 
-func (l *Lexer) pos() source.Pos { return l.file.Pos(l.off) }
+func (l *scanner) pos() source.Pos { return l.file.Pos(l.off) }
 
-func (l *Lexer) peek() byte {
+// tok returns the token of kind k spanning from offset begin to the
+// current offset.
+func (l *scanner) tok(k token.Kind, begin int) Token {
+	return Token{Pos: l.file.Pos(begin), Len: int32(l.off - begin), Kind: k}
+}
+
+func (l *scanner) peek() byte {
 	if l.off < len(l.src) {
 		return l.src[l.off]
 	}
 	return 0
 }
 
-func (l *Lexer) peekAt(n int) byte {
+func (l *scanner) peekAt(n int) byte {
 	if l.off+n < len(l.src) {
 		return l.src[l.off+n]
 	}
@@ -71,7 +78,7 @@ func (l *Lexer) peekAt(n int) byte {
 
 // skipTrivia consumes whitespace and comments. Unterminated block comments
 // are reported once and consume the rest of the file.
-func (l *Lexer) skipTrivia() {
+func (l *scanner) skipTrivia() {
 	for l.off < len(l.src) {
 		c := l.src[l.off]
 		switch {
@@ -110,38 +117,35 @@ func isIdentCont(c byte) bool { return isIdentStart(c) || isDigit(c) }
 
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }
 
-// Next scans and returns the next token.
-func (l *Lexer) Next() Token {
+// next scans and returns the next token.
+func (l *scanner) next() Token {
 	l.skipTrivia()
-	start := l.pos()
+	begin := l.off
 	if l.off >= len(l.src) {
-		return Token{Kind: token.EOF, Pos: start, End: start}
+		return l.tok(token.EOF, begin)
 	}
 	c := l.src[l.off]
 	switch {
 	case isIdentStart(c):
-		return l.scanIdent(start)
+		return l.scanIdent(begin)
 	case isDigit(c):
-		return l.scanNumber(start)
+		return l.scanNumber(begin)
 	case c == '\'':
-		return l.scanChar(start)
+		return l.scanChar(begin)
 	case c == '"':
-		return l.scanString(start)
+		return l.scanString(begin)
 	}
-	return l.scanOperator(start)
+	return l.scanOperator(begin)
 }
 
-func (l *Lexer) scanIdent(start source.Pos) Token {
-	begin := l.off
+func (l *scanner) scanIdent(begin int) Token {
 	for l.off < len(l.src) && isIdentCont(l.src[l.off]) {
 		l.off++
 	}
-	text := l.src[begin:l.off]
-	return Token{Kind: token.LookupKeyword(text), Text: text, Pos: start, End: l.pos()}
+	return l.tok(token.LookupKeyword(l.src[begin:l.off]), begin)
 }
 
-func (l *Lexer) scanNumber(start source.Pos) Token {
-	begin := l.off
+func (l *scanner) scanNumber(begin int) Token {
 	kind := token.IntLit
 	if l.peek() == '0' && (l.peekAt(1) == 'x' || l.peekAt(1) == 'X') {
 		l.off += 2
@@ -149,9 +153,9 @@ func (l *Lexer) scanNumber(start source.Pos) Token {
 			l.off++
 		}
 		if l.off == begin+2 {
-			l.diags.Errorf(start, "malformed hexadecimal literal")
+			l.diags.Errorf(l.file.Pos(begin), "malformed hexadecimal literal")
 		}
-		return Token{Kind: kind, Text: l.src[begin:l.off], Pos: start, End: l.pos()}
+		return l.tok(kind, begin)
 	}
 	for l.off < len(l.src) && isDigit(l.src[l.off]) {
 		l.off++
@@ -173,7 +177,7 @@ func (l *Lexer) scanNumber(start source.Pos) Token {
 			}
 		}
 	}
-	return Token{Kind: kind, Text: l.src[begin:l.off], Pos: start, End: l.pos()}
+	return l.tok(kind, begin)
 }
 
 func isHexDigit(c byte) bool {
@@ -182,7 +186,7 @@ func isHexDigit(c byte) bool {
 
 // scanEscape consumes one (possibly escaped) character of a char/string
 // literal body and returns false on malformed input.
-func (l *Lexer) scanEscape(start source.Pos) bool {
+func (l *scanner) scanEscape(start source.Pos) bool {
 	if l.peek() != '\\' {
 		l.off++
 		return true
@@ -202,12 +206,12 @@ func (l *Lexer) scanEscape(start source.Pos) bool {
 	return false
 }
 
-func (l *Lexer) scanChar(start source.Pos) Token {
-	begin := l.off
+func (l *scanner) scanChar(begin int) Token {
+	start := l.file.Pos(begin)
 	l.off++ // opening quote
 	if l.off >= len(l.src) {
 		l.diags.Errorf(start, "unterminated character literal")
-		return Token{Kind: token.CharLit, Text: l.src[begin:l.off], Pos: start, End: l.pos()}
+		return l.tok(token.CharLit, begin)
 	}
 	l.scanEscape(start)
 	if l.peek() == '\'' {
@@ -215,11 +219,11 @@ func (l *Lexer) scanChar(start source.Pos) Token {
 	} else {
 		l.diags.Errorf(start, "unterminated character literal")
 	}
-	return Token{Kind: token.CharLit, Text: l.src[begin:l.off], Pos: start, End: l.pos()}
+	return l.tok(token.CharLit, begin)
 }
 
-func (l *Lexer) scanString(start source.Pos) Token {
-	begin := l.off
+func (l *scanner) scanString(begin int) Token {
+	start := l.file.Pos(begin)
 	l.off++ // opening quote
 	for l.off < len(l.src) && l.src[l.off] != '"' && l.src[l.off] != '\n' {
 		l.scanEscape(start)
@@ -229,76 +233,109 @@ func (l *Lexer) scanString(start source.Pos) Token {
 	} else {
 		l.diags.Errorf(start, "unterminated string literal")
 	}
-	return Token{Kind: token.StringLit, Text: l.src[begin:l.off], Pos: start, End: l.pos()}
+	return l.tok(token.StringLit, begin)
 }
 
-// operator2 and operator3 map multi-byte operator spellings.
-type opEntry struct {
-	text string
-	kind token.Kind
-}
-
-var operators3 = []opEntry{
-	{"->*", token.ArrowStar},
-}
-
-var operators2 = []opEntry{
-	{"->", token.Arrow},
-	{".*", token.DotStar},
-	{"::", token.Scope},
-	{"<<", token.Shl},
-	{">>", token.Shr},
-	{"&&", token.AmpAmp},
-	{"||", token.PipePipe},
-	{"==", token.Eq},
-	{"!=", token.Ne},
-	{"<=", token.Le},
-	{">=", token.Ge},
-	{"++", token.Inc},
-	{"--", token.Dec},
-	{"+=", token.PlusAssign},
-	{"-=", token.MinusAssign},
-	{"*=", token.StarAssign},
-	{"/=", token.SlashAssign},
-	{"%=", token.PercentAssign},
-}
-
-var operators1 = map[byte]token.Kind{
-	'+': token.Plus, '-': token.Minus, '*': token.Star, '/': token.Slash,
-	'%': token.Percent, '&': token.Amp, '|': token.Pipe, '^': token.Caret,
-	'!': token.Not, '~': token.Tilde, '=': token.Assign, '<': token.Lt,
-	'>': token.Gt, '.': token.Dot, '?': token.Question, ':': token.Colon,
-	';': token.Semicolon, ',': token.Comma, '(': token.LParen,
-	')': token.RParen, '{': token.LBrace, '}': token.RBrace,
-	'[': token.LBracket, ']': token.RBracket,
-}
-
-func (l *Lexer) scanOperator(start source.Pos) Token {
-	rest := l.src[l.off:]
-	for _, op := range operators3 {
-		if hasPrefix(rest, op.text) {
-			l.off += 3
-			return Token{Kind: op.kind, Text: op.text, Pos: start, End: l.pos()}
+// scanOperator scans the longest operator or punctuator at begin. A byte
+// that starts none is reported and returned as a one-byte Invalid token.
+func (l *scanner) scanOperator(begin int) Token {
+	c, next := l.src[l.off], l.peekAt(1)
+	kind, n := token.Invalid, 1
+	switch c {
+	case '+':
+		switch next {
+		case '+':
+			kind, n = token.Inc, 2
+		case '=':
+			kind, n = token.PlusAssign, 2
+		default:
+			kind = token.Plus
 		}
-	}
-	for _, op := range operators2 {
-		if hasPrefix(rest, op.text) {
-			l.off += 2
-			return Token{Kind: op.kind, Text: op.text, Pos: start, End: l.pos()}
+	case '-':
+		switch {
+		case next == '>' && l.peekAt(2) == '*':
+			kind, n = token.ArrowStar, 3
+		case next == '>':
+			kind, n = token.Arrow, 2
+		case next == '-':
+			kind, n = token.Dec, 2
+		case next == '=':
+			kind, n = token.MinusAssign, 2
+		default:
+			kind = token.Minus
 		}
+	case '<':
+		switch next {
+		case '<':
+			kind, n = token.Shl, 2
+		case '=':
+			kind, n = token.Le, 2
+		default:
+			kind = token.Lt
+		}
+	case '>':
+		switch next {
+		case '>':
+			kind, n = token.Shr, 2
+		case '=':
+			kind, n = token.Ge, 2
+		default:
+			kind = token.Gt
+		}
+	case '*':
+		kind, n = either(next, '=', token.Star, token.StarAssign)
+	case '/':
+		kind, n = either(next, '=', token.Slash, token.SlashAssign)
+	case '%':
+		kind, n = either(next, '=', token.Percent, token.PercentAssign)
+	case '&':
+		kind, n = either(next, '&', token.Amp, token.AmpAmp)
+	case '|':
+		kind, n = either(next, '|', token.Pipe, token.PipePipe)
+	case '!':
+		kind, n = either(next, '=', token.Not, token.Ne)
+	case '=':
+		kind, n = either(next, '=', token.Assign, token.Eq)
+	case '.':
+		kind, n = either(next, '*', token.Dot, token.DotStar)
+	case ':':
+		kind, n = either(next, ':', token.Colon, token.Scope)
+	case '^':
+		kind = token.Caret
+	case '~':
+		kind = token.Tilde
+	case '?':
+		kind = token.Question
+	case ';':
+		kind = token.Semicolon
+	case ',':
+		kind = token.Comma
+	case '(':
+		kind = token.LParen
+	case ')':
+		kind = token.RParen
+	case '{':
+		kind = token.LBrace
+	case '}':
+		kind = token.RBrace
+	case '[':
+		kind = token.LBracket
+	case ']':
+		kind = token.RBracket
+	default:
+		l.diags.Errorf(l.file.Pos(begin), "unexpected character %q", string(c))
 	}
-	c := l.src[l.off]
-	if k, ok := operators1[c]; ok {
-		l.off++
-		return Token{Kind: k, Text: string(c), Pos: start, End: l.pos()}
-	}
-	l.diags.Errorf(start, "unexpected character %q", string(c))
-	l.off++
-	return Token{Kind: token.Invalid, Text: string(c), Pos: start, End: l.pos()}
+	l.off += n
+	return l.tok(kind, begin)
 }
 
-func hasPrefix(s, prefix string) bool {
-	return len(s) >= len(prefix) && s[:len(prefix)] == prefix
+// either returns the two-byte operator long when next is second, else
+// the one-byte operator short.
+func either(next, second byte, short, long token.Kind) (token.Kind, int) {
+	if next == second {
+		return long, 2
+	}
+	return short, 1
 }
 
 // UnquoteChar decodes the body of a character literal token (including the

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"deadmembers/internal/source"
 	"deadmembers/internal/token"
@@ -75,14 +76,18 @@ func TestNumbers(t *testing.T) {
 }
 
 func TestCharAndStringLiterals(t *testing.T) {
-	toks, diags := scan(t, `'a' '\n' '\'' "hi" "a\"b" "tab\t"`)
+	fset := source.NewFileSet()
+	f := fset.AddFile("t.mcc", `'a' '\n' '\'' "hi" "a\"b" "tab\t"`)
+	diags := source.NewDiagnosticList(fset)
+	toks := ScanAll(f, diags)
 	if diags.HasErrors() {
 		t.Fatalf("unexpected errors:\n%v", diags)
 	}
-	if UnquoteChar(toks[0].Text) != 'a' || UnquoteChar(toks[1].Text) != '\n' || UnquoteChar(toks[2].Text) != '\'' {
+	text := func(i int) string { return toks[i].Text(f) }
+	if UnquoteChar(text(0)) != 'a' || UnquoteChar(text(1)) != '\n' || UnquoteChar(text(2)) != '\'' {
 		t.Error("char literal decoding wrong")
 	}
-	if UnquoteString(toks[3].Text) != "hi" || UnquoteString(toks[4].Text) != `a"b` || UnquoteString(toks[5].Text) != "tab\t" {
+	if UnquoteString(text(3)) != "hi" || UnquoteString(text(4)) != `a"b` || UnquoteString(text(5)) != "tab\t" {
 		t.Error("string literal decoding wrong")
 	}
 }
@@ -137,7 +142,7 @@ int main() { C c; c.f(); return c.x ->* . :: 'q' "s" 1.5e3 0x2A; }`
 			if tk.Kind == token.EOF {
 				break
 			}
-			b.WriteString(tk.Text)
+			b.WriteString(tk.Text(f))
 			b.WriteString(sep[(int(seed)+i)%len(sep)])
 		}
 		fset2 := source.NewFileSet()
@@ -148,7 +153,7 @@ int main() { C c; c.f(); return c.x ->* . :: 'q' "s" 1.5e3 0x2A; }`
 			return false
 		}
 		for i := range orig {
-			if orig[i].Kind != again[i].Kind || orig[i].Text != again[i].Text {
+			if orig[i].Kind != again[i].Kind || orig[i].Text(f) != again[i].Text(f2) {
 				return false
 			}
 		}
@@ -183,5 +188,49 @@ func TestUnquoteEdgeCases(t *testing.T) {
 	}
 	if UnquoteString(`"\0"`) != "\x00" {
 		t.Error(`\0 should decode to NUL`)
+	}
+}
+
+// TestTokenIsCompact: a token is a position, a length and a one-byte
+// kind, with no pointers, in 16 bytes.
+func TestTokenIsCompact(t *testing.T) {
+	if n := unsafe.Sizeof(Token{}); n != 16 {
+		t.Errorf("Token is %d bytes, want 16", n)
+	}
+}
+
+// TestEveryOperatorSpelling: each operator and punctuator lexes, alone
+// and glued to identifiers, to its own kind with its own spelling.
+func TestEveryOperatorSpelling(t *testing.T) {
+	for k := token.Kind(0); k < 255; k++ {
+		if !k.IsOperator() {
+			continue
+		}
+		spelling := k.String()
+		fset := source.NewFileSet()
+		f := fset.AddFile("t.mcc", "a"+spelling+"b")
+		diags := source.NewDiagnosticList(fset)
+		toks := ScanAll(f, diags)
+		if diags.HasErrors() || len(toks) != 4 || toks[1].Kind != k || toks[1].Text(f) != spelling {
+			t.Errorf("%q: got %v, errors: %v", spelling, kinds(toks), diags.Err())
+		}
+	}
+}
+
+// TestInvalidTokenSpansOneByte: a byte that starts no token becomes one
+// Invalid token of that byte, reported once.
+func TestInvalidTokenSpansOneByte(t *testing.T) {
+	toks, diags := scan(t, "a\xff$b")
+	want := []token.Kind{token.Ident, token.Invalid, token.Invalid, token.Ident, token.EOF}
+	if got := kinds(toks); len(got) != len(want) {
+		t.Fatalf("got %v, want %v", got, want)
+	}
+	for i, k := range want {
+		if toks[i].Kind != k || (k != token.EOF && toks[i].Len != 1) {
+			t.Errorf("token %d = %s/%d bytes, want %s/1", i, toks[i].Kind, toks[i].Len, k)
+		}
+	}
+	if diags.ErrorCount() != 2 {
+		t.Errorf("want 2 errors, got:\n%v", diags)
 	}
 }

@@ -39,13 +39,13 @@ func (p *Parser) parseTopLevel(f *ast.File) ast.Decl {
 
 	// Out-of-line constructor or destructor: C::C(... / C::~C(...
 	if p.at(token.Ident) && p.peek(1).Kind == token.Scope &&
-		(p.peek(2).Kind == token.Tilde || (p.peek(2).Kind == token.Ident && p.peek(2).Text == p.cur().Text)) {
+		(p.peek(2).Kind == token.Tilde || (p.peek(2).Kind == token.Ident && p.text(p.peek(2)) == p.text(p.cur()))) {
 		p.parseOutOfLineSpecial(f)
 		return nil
 	}
 
 	if !p.startsType() {
-		p.errorf("expected declaration, found %s", p.cur())
+		p.errorf("expected declaration, found %s", p.describe(p.cur()))
 		p.sync()
 		return nil
 	}
@@ -60,7 +60,7 @@ func (p *Parser) parseTopLevel(f *ast.File) ast.Decl {
 	name := p.expect(token.Ident)
 	if p.at(token.LParen) && p.parenStartsParams() {
 		// Free function definition or declaration.
-		fn := &ast.FuncDecl{Name: name.Text, Return: typ}
+		fn := &ast.FuncDecl{Name: p.text(name), Return: typ}
 		setPos(fn, name.Pos)
 		fn.Params = p.parseParams()
 		if p.accept(token.Semicolon) {
@@ -70,7 +70,7 @@ func (p *Parser) parseTopLevel(f *ast.File) ast.Decl {
 		return fn
 	}
 	// Global variable (possibly with constructor arguments).
-	return p.finishVar(name.Text, typ)
+	return p.finishVar(p.text(name), typ)
 }
 
 // parenStartsParams disambiguates `T name(...)` at the top level: a
@@ -84,7 +84,7 @@ func (p *Parser) parenStartsParams() bool {
 		token.KwDouble, token.KwConst, token.KwVolatile:
 		return true
 	case token.Ident:
-		return p.types[next.Text]
+		return p.types[p.text(next)]
 	}
 	return false
 }
@@ -140,7 +140,7 @@ func (p *Parser) parseParams() []ast.Param {
 		typ := p.parseType()
 		var name string
 		if p.at(token.Ident) {
-			name = p.next().Text
+			name = p.text(p.next())
 		}
 		if p.at(token.LBracket) { // array parameter decays to pointer
 			lb := p.next()
@@ -177,7 +177,7 @@ func (p *Parser) parseClass() ast.Decl {
 		kind = ast.ClassClass
 	}
 	name := p.expect(token.Ident)
-	cd := &ast.ClassDecl{Kind: kind, Name: name.Text}
+	cd := &ast.ClassDecl{Kind: kind, Name: p.text(name)}
 	setPos(cd, kw.Pos)
 
 	if p.accept(token.Semicolon) {
@@ -200,7 +200,7 @@ func (p *Parser) parseClass() ast.Decl {
 				break
 			}
 			base := p.expect(token.Ident)
-			bs := ast.BaseSpec{Virtual: virt, Name: base.Text}
+			bs := ast.BaseSpec{Virtual: virt, Name: p.text(base)}
 			setPos(&bs, start)
 			cd.Bases = append(cd.Bases, bs)
 			if !p.accept(token.Comma) {
@@ -241,8 +241,8 @@ func (p *Parser) parseMember(cd *ast.ClassDecl) {
 	if p.at(token.Tilde) {
 		tl := p.next()
 		name := p.expect(token.Ident)
-		if name.Text != cd.Name {
-			p.errorf("destructor name ~%s does not match class %s", name.Text, cd.Name)
+		if p.text(name) != cd.Name {
+			p.errorf("destructor name ~%s does not match class %s", p.text(name), cd.Name)
 		}
 		m := &ast.MethodDecl{Name: "~" + cd.Name, IsDtor: true}
 		setPos(m, tl.Pos)
@@ -258,7 +258,7 @@ func (p *Parser) parseMember(cd *ast.ClassDecl) {
 	}
 
 	// Constructor: C(...) : inits { ... }
-	if p.at(token.Ident) && p.cur().Text == cd.Name && p.peek(1).Kind == token.LParen {
+	if p.at(token.Ident) && p.text(p.cur()) == cd.Name && p.peek(1).Kind == token.LParen {
 		name := p.next()
 		m := &ast.MethodDecl{Name: cd.Name, IsCtor: true, Virtual: virt}
 		setPos(m, name.Pos)
@@ -275,8 +275,8 @@ func (p *Parser) parseMember(cd *ast.ClassDecl) {
 	if virt && p.at(token.Tilde) {
 		tl := p.next()
 		name := p.expect(token.Ident)
-		if name.Text != cd.Name {
-			p.errorf("destructor name ~%s does not match class %s", name.Text, cd.Name)
+		if p.text(name) != cd.Name {
+			p.errorf("destructor name ~%s does not match class %s", p.text(name), cd.Name)
 		}
 		m := &ast.MethodDecl{Name: "~" + cd.Name, IsDtor: true, Virtual: true}
 		setPos(m, tl.Pos)
@@ -290,7 +290,7 @@ func (p *Parser) parseMember(cd *ast.ClassDecl) {
 	isVolatileField := false
 	start := p.cur().Pos
 	if !p.startsType() {
-		p.errorf("expected member declaration, found %s", p.cur())
+		p.errorf("expected member declaration, found %s", p.describe(p.cur()))
 		p.sync(token.RBrace)
 		return
 	}
@@ -301,11 +301,11 @@ func (p *Parser) parseMember(cd *ast.ClassDecl) {
 	name := p.expect(token.Ident)
 
 	if p.at(token.LParen) {
-		m := &ast.MethodDecl{Name: name.Text, Virtual: virt, Return: typ}
+		m := &ast.MethodDecl{Name: p.text(name), Virtual: virt, Return: typ}
 		setPos(m, start)
 		m.Params = p.parseParams()
 		// Pure virtual: `= 0;`
-		if p.at(token.Assign) && p.peek(1).Kind == token.IntLit && p.peek(1).Text == "0" {
+		if p.at(token.Assign) && p.peek(1).Kind == token.IntLit && p.text(p.peek(1)) == "0" {
 			p.next()
 			p.next()
 			m.Pure = true
@@ -329,7 +329,7 @@ func (p *Parser) parseMember(cd *ast.ClassDecl) {
 			setPos(at, lb.Pos)
 			fieldType = at
 		}
-		fd := &ast.FieldDecl{Name: name.Text, Type: fieldType, Volatile: isVolatileField}
+		fd := &ast.FieldDecl{Name: p.text(name), Type: fieldType, Volatile: isVolatileField}
 		setPos(fd, start)
 		cd.Fields = append(cd.Fields, fd)
 		if !p.accept(token.Comma) {
@@ -357,7 +357,7 @@ func (p *Parser) parseCtorInits() []ast.CtorInit {
 	var inits []ast.CtorInit
 	for {
 		name := p.expect(token.Ident)
-		ci := ast.CtorInit{Name: name.Text}
+		ci := ast.CtorInit{Name: p.text(name)}
 		setPos(&ci, name.Pos)
 		p.expect(token.LParen)
 		if !p.at(token.RParen) {
@@ -381,12 +381,12 @@ func (p *Parser) parseOutOfLineSpecial(f *ast.File) {
 	p.next()        // ::
 	isDtor := p.accept(token.Tilde)
 	name := p.expect(token.Ident)
-	if name.Text != cls.Text {
-		p.errorf("qualified special member %s::%s has mismatched name", cls.Text, name.Text)
+	if p.text(name) != p.text(cls) {
+		p.errorf("qualified special member %s::%s has mismatched name", p.text(cls), p.text(name))
 	}
-	m := &ast.MethodDecl{Name: cls.Text, IsCtor: !isDtor, IsDtor: isDtor}
+	m := &ast.MethodDecl{Name: p.text(cls), IsCtor: !isDtor, IsDtor: isDtor}
 	if isDtor {
-		m.Name = "~" + cls.Text
+		m.Name = "~" + p.text(cls)
 	}
 	setPos(m, cls.Pos)
 	m.Params = p.parseParams()
@@ -394,7 +394,7 @@ func (p *Parser) parseOutOfLineSpecial(f *ast.File) {
 		m.Inits = p.parseCtorInits()
 	}
 	p.finishMethodBody(m)
-	p.attachToClass(f, cls.Text, m)
+	p.attachToClass(f, p.text(cls), m)
 }
 
 // parseOutOfLineMethod parses `Type C::name(...) {...}`.
@@ -402,11 +402,11 @@ func (p *Parser) parseOutOfLineMethod(f *ast.File, ret ast.TypeExpr) {
 	cls := p.next() // class name
 	p.next()        // ::
 	name := p.expect(token.Ident)
-	m := &ast.MethodDecl{Name: name.Text, Return: ret}
+	m := &ast.MethodDecl{Name: p.text(name), Return: ret}
 	setPos(m, cls.Pos)
 	m.Params = p.parseParams()
 	p.finishMethodBody(m)
-	p.attachToClass(f, cls.Text, m)
+	p.attachToClass(f, p.text(cls), m)
 }
 
 // attachToClass merges an out-of-line definition into its class. If the

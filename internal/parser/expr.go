@@ -85,7 +85,7 @@ func (p *Parser) parseUnaryExpr() ast.Expr {
 			cls := p.next()
 			p.next()
 			name := p.next()
-			qi := &ast.QualifiedIdent{Class: cls.Text, Name: name.Text}
+			qi := &ast.QualifiedIdent{Class: p.text(cls), Name: p.text(name)}
 			setPos(qi, cls.Pos)
 			u := &ast.Unary{Op: token.Amp, X: qi}
 			setPos(u, start)
@@ -224,10 +224,10 @@ func (p *Parser) parsePostfixExpr() ast.Expr {
 			name := p.expect(token.Ident)
 			if p.at(token.Scope) {
 				p.next()
-				m.Qual = name.Text
+				m.Qual = p.text(name)
 				name = p.expect(token.Ident)
 			}
-			m.Name = name.Text
+			m.Name = p.text(name)
 			x = m
 		case token.DotStar, token.ArrowStar:
 			op := p.next()
@@ -272,30 +272,30 @@ func (p *Parser) parsePrimaryExpr() ast.Expr {
 	switch p.kind() {
 	case token.IntLit:
 		t := p.next()
-		v, err := strconv.ParseInt(t.Text, 0, 64)
+		v, err := strconv.ParseInt(p.text(t), 0, 64)
 		if err != nil {
-			p.errorf("invalid integer literal %s", t.Text)
+			p.errorf("invalid integer literal %s", p.text(t))
 		}
 		e := &ast.IntLit{Value: v}
 		setPos(e, start)
 		return e
 	case token.FloatLit:
 		t := p.next()
-		v, err := strconv.ParseFloat(t.Text, 64)
+		v, err := strconv.ParseFloat(p.text(t), 64)
 		if err != nil {
-			p.errorf("invalid floating literal %s", t.Text)
+			p.errorf("invalid floating literal %s", p.text(t))
 		}
 		e := &ast.FloatLit{Value: v}
 		setPos(e, start)
 		return e
 	case token.CharLit:
 		t := p.next()
-		e := &ast.CharLit{Value: lexer.UnquoteChar(t.Text)}
+		e := &ast.CharLit{Value: lexer.UnquoteChar(p.text(t))}
 		setPos(e, start)
 		return e
 	case token.StringLit:
 		t := p.next()
-		e := &ast.StringLit{Value: lexer.UnquoteString(t.Text)}
+		e := &ast.StringLit{Value: lexer.UnquoteString(p.text(t))}
 		setPos(e, start)
 		return e
 	case token.KwTrue, token.KwFalse:
@@ -318,11 +318,11 @@ func (p *Parser) parsePrimaryExpr() ast.Expr {
 		if p.at(token.Scope) && p.peek(1).Kind == token.Ident {
 			p.next()
 			name := p.next()
-			qi := &ast.QualifiedIdent{Class: t.Text, Name: name.Text}
+			qi := &ast.QualifiedIdent{Class: p.text(t), Name: p.text(name)}
 			setPos(qi, start)
 			return qi
 		}
-		e := &ast.Ident{Name: t.Text}
+		e := &ast.Ident{Name: p.text(t)}
 		setPos(e, start)
 		return e
 	case token.LParen:
@@ -333,7 +333,7 @@ func (p *Parser) parsePrimaryExpr() ast.Expr {
 		setPos(e, start)
 		return e
 	}
-	p.errorf("expected expression, found %s", p.cur())
+	p.errorf("expected expression, found %s", p.describe(p.cur()))
 	e := &ast.IntLit{Value: 0}
 	setPos(e, start)
 	if !p.at(token.EOF) && !p.at(token.Semicolon) && !p.at(token.RBrace) && !p.at(token.RParen) {

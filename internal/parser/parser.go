@@ -21,7 +21,7 @@ type Parser struct {
 	toks    []lexer.Token
 	pos     int
 	diags   *source.DiagnosticList
-	types   map[string]bool // class/struct/union names seen in pre-scan
+	types   map[string]bool // class/struct/union names of the program; read-only
 	panick  bool            // in error-recovery mode
 	depth   int             // current recursive-descent depth
 	tooDeep bool            // nesting-limit diagnostic already reported
@@ -61,11 +61,19 @@ func ParseFile(file *source.File, diags *source.DiagnosticList) *ast.File {
 // to resolve the declaration-vs-expression ambiguity).
 func ParseFileWithTypes(file *source.File, diags *source.DiagnosticList, extraTypes map[string]bool) *ast.File {
 	toks := lexer.ScanAll(file, diags)
-	p := &Parser{file: file, toks: toks, diags: diags, types: map[string]bool{}}
+	types := TypeNames(file, toks)
 	for name := range extraTypes {
-		p.types[name] = true
+		types[name] = true
 	}
-	p.prescanTypes()
+	return ParseTokens(file, toks, diags, types)
+}
+
+// ParseTokens parses file from toks, the result of lexer.ScanAll over
+// file, reporting parse errors to diags. types must hold every class name
+// the parse should know, the file's own (see TypeNames) included; it is
+// only read. A (possibly partial) File is always returned.
+func ParseTokens(file *source.File, toks []lexer.Token, diags *source.DiagnosticList, types map[string]bool) *ast.File {
+	p := &Parser{file: file, toks: toks, diags: diags, types: types}
 	return p.parseFile()
 }
 
@@ -73,31 +81,22 @@ func ParseFileWithTypes(file *source.File, diags *source.DiagnosticList, extraTy
 // without parsing it. Scanning diagnostics are suppressed (the real parse
 // reports them).
 func CollectTypeNames(file *source.File) map[string]bool {
-	diags := source.NewDiagnosticList(nil)
-	toks := lexer.ScanAll(file, diags)
+	return TypeNames(file, lexer.ScanAll(file, source.NewDiagnosticList(nil)))
+}
+
+// TypeNames returns every identifier that follows class, struct or union
+// in toks, the result of lexer.ScanAll over file.
+func TypeNames(file *source.File, toks []lexer.Token) map[string]bool {
 	out := map[string]bool{}
 	for i := 0; i+1 < len(toks); i++ {
 		switch toks[i].Kind {
 		case token.KwClass, token.KwStruct, token.KwUnion:
 			if toks[i+1].Kind == token.Ident {
-				out[toks[i+1].Text] = true
+				out[toks[i+1].Text(file)] = true
 			}
 		}
 	}
 	return out
-}
-
-// prescanTypes records every identifier following class/struct/union so the
-// parser can distinguish type names from expression identifiers.
-func (p *Parser) prescanTypes() {
-	for i := 0; i+1 < len(p.toks); i++ {
-		switch p.toks[i].Kind {
-		case token.KwClass, token.KwStruct, token.KwUnion:
-			if p.toks[i+1].Kind == token.Ident {
-				p.types[p.toks[i+1].Text] = true
-			}
-		}
-	}
 }
 
 // ---------------------------------------------------------------------------
@@ -134,8 +133,20 @@ func (p *Parser) expect(k token.Kind) lexer.Token {
 	if p.at(k) {
 		return p.next()
 	}
-	p.errorf("expected %s, found %s", k, p.cur())
-	return lexer.Token{Kind: k, Pos: p.cur().Pos, End: p.cur().Pos}
+	p.errorf("expected %s, found %s", k, p.describe(p.cur()))
+	return lexer.Token{Kind: k, Pos: p.cur().Pos}
+}
+
+// text returns the spelling of t.
+func (p *Parser) text(t lexer.Token) string { return t.Text(p.file) }
+
+// describe renders t for diagnostics: its kind, followed by its spelling
+// for identifiers and literals.
+func (p *Parser) describe(t lexer.Token) string {
+	if t.Kind.IsLiteral() {
+		return t.Kind.String() + " " + p.text(t)
+	}
+	return t.Kind.String()
 }
 
 func (p *Parser) errorf(format string, args ...interface{}) {
@@ -186,7 +197,7 @@ func (p *Parser) startsType() bool {
 		token.KwConst, token.KwVolatile:
 		return true
 	case token.Ident:
-		return p.types[p.cur().Text]
+		return p.types[p.text(p.cur())]
 	}
 	return false
 }
@@ -212,16 +223,16 @@ func (p *Parser) parseType() ast.TypeExpr {
 	switch p.kind() {
 	case token.KwVoid, token.KwBool, token.KwChar, token.KwInt, token.KwDouble:
 		t := p.next()
-		nt := &ast.NamedType{Name: t.Text}
+		nt := &ast.NamedType{Name: p.text(t)}
 		setPos(nt, t.Pos)
 		base = nt
 	case token.Ident:
 		t := p.next()
-		nt := &ast.NamedType{Name: t.Text}
+		nt := &ast.NamedType{Name: p.text(t)}
 		setPos(nt, t.Pos)
 		base = nt
 	default:
-		p.errorf("expected type, found %s", p.cur())
+		p.errorf("expected type, found %s", p.describe(p.cur()))
 		nt := &ast.NamedType{Name: "int"}
 		setPos(nt, start)
 		base = nt
@@ -262,7 +273,7 @@ func (p *Parser) parseTypeSuffix(base ast.TypeExpr) ast.TypeExpr {
 			cls := p.next() // class name
 			p.next()        // ::
 			p.next()        // *
-			mp := &ast.MemberPointerType{Class: cls.Text, Elem: base}
+			mp := &ast.MemberPointerType{Class: p.text(cls), Elem: base}
 			setPos(mp, cls.Pos)
 			base = mp
 		default:

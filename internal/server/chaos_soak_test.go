@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"net"
 	"net/http"
 	"os"
@@ -14,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"deadmembers/internal/callgraph"
 	"deadmembers/internal/deadmember"
 	"deadmembers/internal/engine"
 	"deadmembers/internal/faultinject"
@@ -66,7 +69,7 @@ int main() { C%d c; return c.used; }
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := comp.AnalyzeContext(context.Background(), deadmember.Options{})
+		res, err := comp.AnalyzeContext(context.Background(), deadmember.Options{CallGraph: callgraph.RTA})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,7 +78,7 @@ int main() { C%d c; return c.used; }
 			t.Fatal(err)
 		}
 		jobs = append(jobs, job{"analyze", body, abuf.String()})
-		lres, _, err := comp.LintContext(context.Background(), deadmember.Options{}, lint.Options{})
+		lres, _, err := comp.LintContext(context.Background(), deadmember.Options{CallGraph: callgraph.RTA}, lint.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,14 +178,27 @@ int main() { C%d c; return c.used; }
 
 	// While the server is down, corrupt one live record in place — the
 	// torn-write the format exists to catch. The restarted server must
-	// quarantine it on first read, never serve it.
-	raw, err := os.ReadFile(recs[0])
-	if err != nil {
-		t.Fatal(err)
+	// quarantine it on first read, never serve it. Requests the close
+	// cut off may still be evicting or quarantining records of the first
+	// server, so the record corrupted is the first one still on disk.
+	corrupted := false
+	for _, rec := range recs {
+		raw, err := os.ReadFile(rec)
+		if errors.Is(err, fs.ErrNotExist) {
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw[len(raw)/2] ^= 0x40
+		if err := os.WriteFile(rec, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		corrupted = true
+		break
 	}
-	raw[len(raw)/2] ^= 0x40
-	if err := os.WriteFile(recs[0], raw, 0o644); err != nil {
-		t.Fatal(err)
+	if !corrupted {
+		t.Fatal("every record persisted in phase 1 is gone; none left to corrupt")
 	}
 
 	s2, inj2, hs2, _ := boot(addr, 43)

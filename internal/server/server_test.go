@@ -158,7 +158,7 @@ func TestLintPrecisionMatchesCLIRenderer(t *testing.T) {
 	if err := comp.Err(); err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := comp.LintContext(context.Background(), deadmember.Options{}, lint.Options{})
+	res, _, err := comp.LintContext(context.Background(), deadmember.Options{CallGraph: callgraph.RTA}, lint.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestLintFormats(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 
 	comp := engine.Compile(engine.Config{Workers: 1}, engine.Source{Name: "sample.mcc", Text: sample})
-	res, _, err := comp.LintContext(context.Background(), deadmember.Options{}, lint.Options{})
+	res, _, err := comp.LintContext(context.Background(), deadmember.Options{CallGraph: callgraph.RTA}, lint.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +263,7 @@ func TestStripEndpoint(t *testing.T) {
 	}
 
 	comp := engine.Compile(engine.Config{Workers: 1}, engine.Source{Name: "sample.mcc", Text: sample})
-	out, err := comp.StripContext(context.Background(), deadmember.Options{}, strip.Options{})
+	out, err := comp.StripContext(context.Background(), deadmember.Options{CallGraph: callgraph.RTA}, strip.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

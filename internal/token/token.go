@@ -6,7 +6,7 @@ package token
 import "fmt"
 
 // Kind identifies a lexical token class.
-type Kind int
+type Kind uint8
 
 // Token kinds. Layout mirrors go/token: literals, operators, keywords.
 const (
